@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import io
 from .errors import (
     CapacityError,
@@ -55,21 +53,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _from_flags(parser: _Parser, cls, **values):
+    # The library validates its own settings; a value it rejects is a usage
+    # error, raised before any file is read.
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _policy_from_flags(parser: _Parser, args) -> TruncationPolicy:
-    max_bond = getattr(args, "max_bond", None)
-    tol = getattr(args, "tol", None)
-    if max_bond is not None and max_bond < 1:
-        parser.error(f"--max-bond must be >= 1, got {max_bond}")
-    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
-        parser.error(f"--tol must be finite and >= 0, got {tol}")
-    if max_bond is None and not tol:
-        return TruncationPolicy.exact()
-    return TruncationPolicy.truncated(max_bond=max_bond, sv_tolerance=tol or 0.0)
+    return _from_flags(
+        parser, TruncationPolicy, max_bond=args.max_bond, sv_tolerance=args.tol
+    )
 
 
-def _check_positive(parser: _Parser, name: str, value, minimum=1) -> None:
-    if value is not None and value < minimum:
-        parser.error(f"{name} must be >= {minimum}, got {value}")
+def _check_positive(parser: _Parser, name: str, value: int) -> None:
+    if value < 1:
+        parser.error(f"{name} must be >= 1, got {value}")
 
 
 def _parse_factor_dims(parser: _Parser, text: str | None) -> tuple[int, ...] | None:
@@ -152,8 +153,6 @@ def _cmd_layer_compress(parser: _Parser, args) -> int:
     bias = io.read_tensor(args.bias)
     if matrix.ndim != 2:
         raise DimensionError(f"--matrix must be 2-dimensional, got rank {matrix.ndim}")
-    if bias.ndim != 1:
-        raise DimensionError(f"--bias must be 1-dimensional, got rank {bias.ndim}")
     plan = ShapePlan.balanced(matrix.shape[0], matrix.shape[1], args.sites)
     layer, report = compress_layer(matrix, bias, plan, policy)
     io.write_json(
@@ -187,53 +186,42 @@ def _cmd_kernel_apply(parser: _Parser, args) -> int:
 
 
 def _solver_config(parser: _Parser, args) -> IteConfig:
-    if args.tau is not None and not (np.isfinite(args.tau) and args.tau > 0):
-        parser.error(f"--tau must be positive, got {args.tau}")
-    _check_positive(parser, "--dense-cap", args.dense_cap)
-    policy = _policy_from_flags(parser, args)
-    return IteConfig(
-        tau=args.tau, policy=policy, readout=args.readout, dense_cap=args.dense_cap
+    return _from_flags(
+        parser,
+        IteConfig,
+        tau=args.tau,
+        policy=_policy_from_flags(parser, args),
+        readout=args.readout,
+        dense_cap=args.dense_cap,
     )
+
+
+def _read_problem(path, kind: str):
+    found, problem = io.read_problem(path)
+    if found != kind:
+        raise io.FormatError(f"{path}: expected a {kind} problem, found {found}")
+    return problem
 
 
 def _cmd_qudo_solve(parser: _Parser, args) -> int:
     cfg = _solver_config(parser, args)
-    kind, problem = io.read_problem(args.problem)
-    if kind != "qudo":
-        raise io.FormatError(f"{args.problem}: expected a qudo problem, found {kind}")
-    if cfg.readout == "exact" and problem.d**problem.n > cfg.dense_cap:
-        raise CapacityError(
-            f"{problem.d}^{problem.n} configurations exceed --dense-cap {cfg.dense_cap}"
-        )
-    _emit_solution(args, solve_qudo(problem, cfg))
+    _emit_solution(args, solve_qudo(_read_problem(args.problem, "qudo"), cfg))
     return 0
 
 
 def _cmd_tsp_solve(parser: _Parser, args) -> int:
     cfg = _solver_config(parser, args)
-    kind, problem = io.read_problem(args.problem)
-    if kind != "tsp":
-        raise io.FormatError(f"{args.problem}: expected a tsp problem, found {kind}")
-    costs, variant = problem
-    if cfg.readout == "exact" and costs.shape[0] ** costs.shape[0] > cfg.dense_cap:
-        raise CapacityError(
-            f"{costs.shape[0]} nodes exceed --dense-cap {cfg.dense_cap} for exact readout"
-        )
+    costs, variant = _read_problem(args.problem, "tsp")
     _emit_solution(args, solve_tsp(costs, variant, cfg))
     return 0
 
 
 def _cmd_oracle(parser: _Parser, args) -> int:
-    kind, problem = io.read_problem(args.problem)
-    if kind != args.kind:
-        raise io.FormatError(
-            f"{args.problem}: expected a {args.kind} problem, found {kind}"
-        )
-    if kind == "qudo":
+    problem = _read_problem(args.problem, args.kind)
+    if args.kind == "qudo":
         sol = brute_force_qudo(problem)
     else:
-        costs, variant = problem
-        sol = brute_force_tsp(costs, variant)
+        sol = brute_force_tsp(*problem)
     _emit_solution(args, sol)
     return 0
 
@@ -247,7 +235,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--report")
     p.add_argument("--max-bond", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--factor-dims", help="comma-separated site dimensions")
     p.set_defaults(func=_cmd_compress)
 
@@ -264,7 +252,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--report")
     p.add_argument("--max-bond", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=0.0)
     p.set_defaults(func=_cmd_layer_compress)
 
     p = sub.add_parser(
@@ -283,7 +271,7 @@ def build_parser() -> _Parser:
         p.add_argument("--tau", type=float)
         p.add_argument("--readout", choices=("exact", "greedy"), default="exact")
         p.add_argument("--max-bond", type=int)
-        p.add_argument("--tol", type=float)
+        p.add_argument("--tol", type=float, default=0.0)
         p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
         p.set_defaults(func=func)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TtkitError
-from .optimize import QudoProblem
+from .optimize import QudoProblem, _tsp_costs
 from .tt import TensorTrain, TensorTrainOperator
 
 __all__ = [
@@ -189,36 +189,30 @@ def read_problem(path) -> tuple[str, object]:
         if set(obj) != {"cost_matrix", "variant"}:
             raise FormatError("tsp problem needs exactly 'cost_matrix' and 'variant'")
         variant = obj["variant"]
-        if variant not in ("closed", "open"):
-            raise FormatError(f"unknown tsp variant {variant!r}")
         try:
-            costs = np.asarray(obj["cost_matrix"], dtype=np.float64)
+            costs = _tsp_costs(obj["cost_matrix"], variant)
         except (TypeError, ValueError) as exc:
-            raise FormatError(f"invalid cost matrix: {exc}") from exc
-        if costs.ndim != 2 or costs.shape[0] != costs.shape[1] or costs.shape[0] < 2:
-            raise FormatError(f"cost matrix must be square with >= 2 nodes, got {costs.shape}")
-        if not np.all(np.isfinite(costs)):
-            raise FormatError("cost matrix must be finite")
+            raise FormatError(f"invalid tsp problem: {exc}") from exc
         return "tsp", (costs, variant)
     missing = {"n", "d", "v", "w"} - set(obj)
     if missing:
         raise FormatError(f"qudo problem lacks keys {sorted(missing)}")
     n, d = obj["n"], obj["d"]
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 2):
+    if not (isinstance(n, int) and isinstance(d, int)):
         raise FormatError(f"invalid sizes n={n!r}, d={d!r}")
     try:
         v = [np.asarray(row, dtype=np.float64) for row in obj["v"]]
         w = [np.asarray(tbl, dtype=np.float64) for tbl in obj["w"]]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid cost tables: {exc}") from exc
-    if len(v) != n or any(t.shape != (d,) for t in v):
-        raise FormatError(f"need {n} local tables of length {d}")
-    if len(w) != n - 1 or any(t.shape != (d, d) for t in w):
-        raise FormatError(f"need {n - 1} coupling tables of shape ({d}, {d})")
     try:
         problem = QudoProblem(tuple(v), tuple(w))
     except TtkitError as exc:
         raise FormatError(f"invalid problem: {exc}") from exc
+    if (problem.n, problem.d) != (n, d):
+        raise FormatError(
+            f"declared n={n}, d={d} do not match the tables (n={problem.n}, d={problem.d})"
+        )
     return "qudo", problem
 
 

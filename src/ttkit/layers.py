@@ -151,8 +151,6 @@ def matrix_to_mpo(
 ) -> TensorTrainOperator | tuple[TensorTrainOperator, list[float]]:
     """Compress a matrix into an operator train following ``plan``."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got rank {a.ndim}")
     if a.shape != (plan.n_rows, plan.n_cols):
         raise DimensionError(
             f"plan covers a {plan.n_rows}x{plan.n_cols} matrix, got {a.shape}"
@@ -197,15 +195,15 @@ def compress_layer(
     c: np.ndarray,
     plan: ShapePlan,
     policy: TruncationPolicy,
-    max_elements: int = DENSE_CAP_DEFAULT,
 ) -> tuple[CompressedLayer, CompressionReport]:
     """Compress the weights and bias of a dense layer ``v = A x + c``.
 
     The report counts the dense layer's ``N (M + 1)`` parameters against the
     elements actually stored, and measures the combined relative Frobenius
     error ``sqrt(|A - A'|^2 + |c - c'|^2) / sqrt(|A|^2 + |c|^2)`` by
-    densification when the layer fits under ``max_elements``; otherwise the
-    discarded-weight bound is reported instead.
+    densification when the layer has at most ``DENSE_CAP_DEFAULT`` elements;
+    otherwise the discarded-weight bound is reported instead.  A bias that is
+    not a vector of ``plan.n_rows`` entries raises :class:`DimensionError`.
     """
     a = as_tensor(a)
     c = as_tensor(c)
@@ -220,11 +218,9 @@ def compress_layer(
     dense_params = plan.n_rows * (plan.n_cols + 1)
     compressed_params = weights_op.param_count() + bias_tt.param_count()
     ref_norm_sq = float(np.sum(a**2) + np.sum(c**2))
-    if a.size + c.size <= max_elements:
-        a_err = float(np.sum((mpo_to_matrix(weights_op, max_elements) - a) ** 2))
-        c_err = float(
-            np.sum((tt_to_dense(bias_tt, max_elements).reshape(-1) - c) ** 2)
-        )
+    if a.size + c.size <= DENSE_CAP_DEFAULT:
+        a_err = float(np.sum((mpo_to_matrix(weights_op) - a) ** 2))
+        c_err = float(np.sum((tt_to_dense(bias_tt).reshape(-1) - c) ** 2))
         error = sqrt((a_err + c_err) / ref_norm_sq) if ref_norm_sq > 0 else 0.0
         is_bound = False
     else:
@@ -245,7 +241,6 @@ def compress_layer(
 def apply_compressed_layer(
     layer: CompressedLayer,
     x: np.ndarray,
-    max_elements: int = DENSE_CAP_DEFAULT,
 ) -> np.ndarray:
     """Evaluate ``A x + c`` entirely in train form and return the dense result."""
     x = as_tensor(x)
@@ -256,14 +251,13 @@ def apply_compressed_layer(
     x_tt = vector_to_mps(x, layer.plan.col_factors, TruncationPolicy.exact())
     out = apply_mpo(layer.weights, x_tt)
     out = tt_round(tt_add(out, layer.bias), layer.policy)
-    return tt_to_dense(out, max_elements).reshape(-1)
+    return tt_to_dense(out).reshape(-1)
 
 
 def compress_dataset(
     t: np.ndarray,
     factor_dims: Sequence[int],
     policy: TruncationPolicy,
-    max_elements: int = DENSE_CAP_DEFAULT,
 ) -> tuple[TensorTrain, CompressionReport]:
     """Reshape a data tensor onto ``factor_dims`` sites and compress it.
 
@@ -278,10 +272,8 @@ def compress_dataset(
         )
     train, dw = tt_svd(t.reshape(dims), policy, return_weights=True)
     ref_norm_sq = float(np.sum(t**2))
-    if t.size <= max_elements:
-        err = float(
-            np.linalg.norm(tt_to_dense(train, max_elements).reshape(-1) - t.reshape(-1))
-        )
+    if t.size <= DENSE_CAP_DEFAULT:
+        err = float(np.linalg.norm(tt_to_dense(train).reshape(-1) - t.reshape(-1)))
         error = err / sqrt(ref_norm_sq) if ref_norm_sq > 0 else 0.0
         is_bound = False
     else:

@@ -356,32 +356,54 @@ def readout_greedy(s: AmplitudeState) -> tuple[int, ...]:
     return tuple(config)
 
 
-def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
-    """Damp, read out, and recompute the cost of the winning configuration."""
+def _solve(problem: QudoProblem, cfg: IteConfig, constrain=None) -> Solution:
+    # Exact readout densifies all d**n amplitudes, so an oversized problem is
+    # refused before any state is built.
+    if cfg.readout == "exact" and problem.d**problem.n > cfg.dense_cap:
+        raise CapacityError(
+            f"{problem.d}^{problem.n} configurations exceed the dense cap {cfg.dense_cap}"
+        )
     state = ite_state(problem, cfg)
+    if constrain is not None:
+        state = constrain(state)
     if cfg.readout == "exact":
-        config = readout_exact(state, cfg.dense_cap)
-        method = "ite-exact"
+        config, method = readout_exact(state, cfg.dense_cap), "ite-exact"
     else:
-        config = readout_greedy(state)
-        method = "ite-greedy"
+        config, method = readout_greedy(state), "ite-greedy"
     return Solution(config, problem.cost(config), method)
 
 
-def _tsp_problem(costs: np.ndarray, variant: str) -> QudoProblem:
+def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
+    """Damp, read out, and recompute the cost of the winning configuration.
+
+    Exact readout raises :class:`CapacityError` when ``d**n`` exceeds
+    ``cfg.dense_cap``.
+    """
+    return _solve(problem, cfg)
+
+
+def _tsp_costs(costs, variant: str) -> np.ndarray:
+    """Validated float64 cost matrix of a route problem: square, finite, >= 2 nodes."""
     costs = as_tensor(costs)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise DimensionError(f"cost matrix must be square, got {costs.shape}")
-    d = costs.shape[0]
-    if d < 2:
+    if costs.shape[0] < 2:
         raise DimensionError("need at least 2 nodes")
+    if variant not in ("closed", "open"):
+        raise DimensionError(f"unknown variant {variant!r}")
+    if not np.all(np.isfinite(costs)):
+        raise NumericalError("cost matrix must be finite")
+    return costs
+
+
+def _tsp_problem(costs: np.ndarray, variant: str) -> QudoProblem:
+    costs = _tsp_costs(costs, variant)
+    d = costs.shape[0]
     local = [np.zeros(d) for _ in range(d)]
     if variant == "closed":
         # Fixed start at node 0; the return leg becomes a local cost on the
         # last step.
         local[-1] = costs[:, 0].copy()
-    elif variant != "open":
-        raise DimensionError(f"unknown variant {variant!r}")
     return QudoProblem(tuple(local), tuple(costs.copy() for _ in range(d - 1)))
 
 
@@ -400,20 +422,25 @@ def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteCo
     Site ``i`` holds the node visited at step ``i``; couplings are the leg
     costs.  The closed variant fixes the start at node 0 (every closed tour
     has such a rotation) and folds the return leg into the last site's local
-    cost; the open variant leaves start and end free.
+    cost; the open variant leaves start and end free.  A truncating policy
+    can make the readout repeat a node; such a configuration, or a closed
+    one that does not start at node 0, raises :class:`InfeasibilityError`
+    instead of being returned as a tour.
     """
     problem = _tsp_problem(costs, variant)
-    state = ite_state(problem, cfg)
-    if variant == "closed":
-        state = _project_site(state, 0, 0)
-    state = apply_non_repetition(state, cfg)
-    if cfg.readout == "exact":
-        config = readout_exact(state, cfg.dense_cap)
-        method = "ite-exact"
-    else:
-        config = readout_greedy(state)
-        method = "ite-greedy"
-    return Solution(config, problem.cost(config), method)
+
+    def constrain(state: AmplitudeState) -> AmplitudeState:
+        if variant == "closed":
+            state = _project_site(state, 0, 0)
+        return apply_non_repetition(state, cfg)
+
+    sol = _solve(problem, cfg, constrain)
+    tour = sol.configuration
+    if sorted(tour) != list(range(len(tour))):
+        raise InfeasibilityError(f"readout {list(tour)} is not a tour")
+    if variant == "closed" and tour[0] != 0:
+        raise InfeasibilityError(f"closed tour {list(tour)} does not start at node 0")
+    return sol
 
 
 def brute_force_qudo(problem: QudoProblem, max_configs: int = BRUTE_FORCE_CAP) -> Solution:
@@ -441,20 +468,14 @@ def brute_force_tsp(
     costs: np.ndarray, variant: str = "closed", max_nodes: int = BRUTE_FORCE_TSP_MAX_NODES
 ) -> Solution:
     """Exhaustive tour enumeration in lexicographic order."""
-    costs = as_tensor(costs)
-    if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
-        raise DimensionError(f"cost matrix must be square, got {costs.shape}")
+    costs = _tsp_costs(costs, variant)
     d = costs.shape[0]
-    if d < 2:
-        raise DimensionError("need at least 2 nodes")
     if d > max_nodes:
         raise CapacityError(f"{d} nodes exceed the enumeration cap {max_nodes}")
     if variant == "closed":
         tours = ((0,) + rest for rest in permutations(range(1, d)))
-    elif variant == "open":
-        tours = permutations(range(d))
     else:
-        raise DimensionError(f"unknown variant {variant!r}")
+        tours = permutations(range(d))
     best = None
     for tour in tours:
         c = sum(float(costs[tour[i], tour[i + 1]]) for i in range(d - 1))

@@ -8,8 +8,10 @@ can be re-truncated (rounded) without densification.
 
 Truncation is governed by :class:`TruncationPolicy`.  A singular value is
 discarded when it falls strictly below ``sv_tolerance`` times the largest
-one (values exactly at the threshold are kept), and in every mode values at
-or below ``1e-14`` times the largest are treated as float64 noise.  Singular
+one (values exactly at the threshold are kept), and under every policy
+values at or below ``1e-14`` times the largest are treated as float64
+noise.  The exact policy is simply the default one: no ``max_bond`` and
+zero tolerance, which keeps everything above that noise floor.  Singular
 vectors are sign-fixed so the first non-negligible component of each left
 vector is nonnegative, which makes decompositions reproducible.
 """
@@ -58,33 +60,28 @@ NUMERICAL_RANK_CUTOFF = 1e-14
 class TruncationPolicy:
     """Bond-dimension cap and relative singular-value tolerance.
 
-    ``mode="exact"`` keeps everything above the float64 noise floor and
-    requires an unbounded cap with zero tolerance.
+    The default (no cap, zero tolerance) is exact: it keeps everything above
+    the float64 noise floor.
     """
 
     max_bond: int | None = None
     sv_tolerance: float = 0.0
-    mode: str = "truncated"
 
     def __post_init__(self):
-        if self.mode not in ("exact", "truncated"):
-            raise ValueError(f"unknown policy mode {self.mode!r}")
         if self.max_bond is not None and self.max_bond < 1:
             raise ValueError(f"max_bond must be >= 1, got {self.max_bond}")
         if not (np.isfinite(self.sv_tolerance) and self.sv_tolerance >= 0.0):
             raise ValueError(f"sv_tolerance must be finite and >= 0, got {self.sv_tolerance}")
-        if self.mode == "exact" and (self.max_bond is not None or self.sv_tolerance != 0.0):
-            raise ValueError("exact mode requires unbounded max_bond and zero tolerance")
 
     @classmethod
     def exact(cls) -> "TruncationPolicy":
-        return cls(mode="exact")
+        return cls()
 
     @classmethod
     def truncated(
         cls, max_bond: int | None = None, sv_tolerance: float = 0.0
     ) -> "TruncationPolicy":
-        return cls(max_bond=max_bond, sv_tolerance=sv_tolerance, mode="truncated")
+        return cls(max_bond=max_bond, sv_tolerance=sv_tolerance)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
@@ -124,11 +121,10 @@ def truncated_svd(
 
     top = s[0]
     rank = int(np.count_nonzero(s > NUMERICAL_RANK_CUTOFF * top)) if top > 0.0 else 0
-    if policy.mode == "truncated":
-        if policy.sv_tolerance > 0.0 and top > 0.0:
-            rank = min(rank, int(np.count_nonzero(s >= policy.sv_tolerance * top)))
-        if policy.max_bond is not None:
-            rank = min(rank, policy.max_bond)
+    if policy.sv_tolerance > 0.0 and top > 0.0:
+        rank = min(rank, int(np.count_nonzero(s >= policy.sv_tolerance * top)))
+    if policy.max_bond is not None:
+        rank = min(rank, policy.max_bond)
     rank = max(rank, 1)
 
     discarded = float(np.sum(s[rank:] ** 2))

@@ -164,6 +164,7 @@ class TestProblemFiles:
             {"cost_matrix": [[0, 1]], "variant": "closed"},  # not square
             {"cost_matrix": [[0, 1], [1, 0]], "variant": "loop"},  # variant
             {"n": 1, "d": 1, "v": [[0]], "w": []},  # cardinality
+            {"n": 3, "d": 2, "v": [[0, 1], [0, 1]], "w": [[[0, 0], [0, 0]]]},  # declared n
         ]
         for i, obj in enumerate(cases):
             path = tmp_path / f"bad{i}.json"
@@ -220,6 +221,11 @@ class TestCliContract:
             ["compress"],  # missing required flags
             ["reconstruct", "--input", str(src), "--output", "o.json", "--dense-cap", "0"],
             ["qudo-solve", "--problem", str(src), "--readout", "magic"],
+            ["qudo-solve", "--problem", str(src), "--tau", "0"],
+            ["qudo-solve", "--problem", str(src), "--tau", "nan"],
+            ["qudo-solve", "--problem", str(src), "--dense-cap", "0"],
+            ["tsp-solve", "--problem", str(src), "--max-bond", "0"],
+            ["tsp-solve", "--problem", str(src), "--tol", "-1"],
             ["no-such-command"],
         ]
         for args in cases:
@@ -262,9 +268,18 @@ class TestCliContract:
                 "cores": [{"dims": [1, 2, 1], "data": [1.0, 1.0]}] * 30,
             },
         )
+        big_qudo = tmp_path / "qudo23.json"
+        io.write_json(
+            big_qudo,
+            {"n": 23, "d": 2, "v": [[0, 1]] * 23, "w": [[[0, 0], [0, 0]]] * 22},
+        )
+        tour8 = tmp_path / "tsp8.json"
+        io.write_json(tour8, {"cost_matrix": np.ones((8, 8)).tolist(), "variant": "closed"})
         cases = [
             ["compress", "--input", str(nan_t), "--output", str(tmp_path / "x.json")],
             ["reconstruct", "--input", str(big_train), "--output", str(tmp_path / "x.json")],
+            ["qudo-solve", "--problem", str(big_qudo), "--output", str(tmp_path / "x.json")],
+            ["tsp-solve", "--problem", str(tour8), "--output", str(tmp_path / "x.json")],
         ]
         for args in cases:
             r = run_cli(*args)

