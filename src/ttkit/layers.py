@@ -4,9 +4,10 @@ A matrix is turned into an operator train in five steps: split rows and
 columns into factors, interleave so each row factor sits next to its column
 factor, group the pairs, run the SVD sweep, and split each physical index
 back into its (output, input) pair.  Vectors compress the same way without
-the pairing.  A dense layer ``v = A x + c`` then runs entirely in train
-form: the input vector is split into a train, the operator is applied, and
-the bias is added through direct-sum cores.
+the pairing.  A compressed layer evaluates the stored ``A' x + c'``
+exactly: the input vector is split into an exact train, the operator train
+is applied and densified, and the densified bias is added.  The output is
+not rounded again.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .tt import (
     TruncationPolicy,
     apply_mpo,
     mpo_to_matrix,
-    tt_add,
-    tt_round,
     tt_svd,
     tt_to_dense,
 )
@@ -242,16 +241,19 @@ def apply_compressed_layer(
     layer: CompressedLayer,
     x: np.ndarray,
 ) -> np.ndarray:
-    """Evaluate ``A x + c`` entirely in train form and return the dense result."""
+    """Evaluate the stored layer's ``A' x + c'`` exactly, as a dense vector.
+
+    The input is split into an exact train and the weight train applied to
+    it; the product and the bias are densified and added, with no rounding.
+    """
     x = as_tensor(x)
     if x.shape != (layer.plan.n_cols,):
         raise DimensionError(
             f"input must have length {layer.plan.n_cols}, got shape {x.shape}"
         )
     x_tt = vector_to_mps(x, layer.plan.col_factors, TruncationPolicy.exact())
-    out = apply_mpo(layer.weights, x_tt)
-    out = tt_round(tt_add(out, layer.bias), layer.policy)
-    return tt_to_dense(out).reshape(-1)
+    y = tt_to_dense(apply_mpo(layer.weights, x_tt)).reshape(-1)
+    return y + tt_to_dense(layer.bias).reshape(-1)
 
 
 def compress_dataset(

@@ -318,7 +318,8 @@ def readout_exact(s: AmplitudeState, max_elements: int = DENSE_CAP_DEFAULT) -> t
 
     Ties break to the lexicographically smallest configuration.
     """
-    amp = np.abs(s.dense_amplitudes(max_elements))
+    amp = s.dense_amplitudes(max_elements)
+    np.abs(amp, out=amp)
     flat = int(np.argmax(amp))
     return tuple(int(i) for i in np.unravel_index(flat, amp.shape))
 

@@ -19,7 +19,9 @@ vector is nonnegative, which makes decompositions reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,16 +88,14 @@ class TruncationPolicy:
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
     # First non-negligible component of each left singular vector is made
-    # nonnegative; the matching right vector is flipped to compensate.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        peak = np.max(np.abs(col))
-        if peak == 0.0:
-            continue
-        lead = col[np.abs(col) > 1e-12 * peak][0]
-        if lead < 0.0:
-            u[:, j] = -col
-            v[j, :] = -v[j, :]
+    # nonnegative; the matching right vector is flipped to compensate.  An
+    # all-zero column has no such component: its lead reads as +-0.0 and
+    # stays as it is.
+    mag = np.abs(u)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = u[first, np.arange(u.shape[1])] < 0.0
+    np.negative(u, out=u, where=flip)
+    np.negative(v, out=v, where=flip[:, None])
 
 
 def truncated_svd(
@@ -279,20 +279,37 @@ def tt_svd(
     return (train, weights) if return_weights else train
 
 
+def _contract_chain(cores: Sequence[np.ndarray]) -> np.ndarray:
+    # Flat dense vector of a chain of (left, physical, right) cores with
+    # outer bonds 1.  A left prefix and a right suffix are contracted apart
+    # and joined by one matrix product at the link where their physical
+    # sizes balance, so the full result is written once, by that product.
+    n = len(cores)
+    if n == 1:
+        return cores[0].reshape(-1).copy()
+    sizes = list(accumulate((c.shape[1] for c in cores), mul, initial=1))
+    split = min(range(1, n), key=lambda j: max(sizes[j], sizes[n] // sizes[j]))
+    left = cores[0].reshape(sizes[1], -1)
+    for core in cores[1:split]:
+        left = (left @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+    right = cores[-1].reshape(cores[-1].shape[0], -1)
+    for core in reversed(cores[split:-1]):
+        right = (core.reshape(-1, core.shape[2]) @ right).reshape(core.shape[0], -1)
+    return (left @ right).reshape(-1)
+
+
 def tt_to_dense(tt: TensorTrain, max_elements: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Contract a train back to the dense tensor it represents.
 
-    Refuses to materialize more than ``max_elements`` elements.
+    Refuses to materialize more than ``max_elements`` elements.  The result
+    is a fresh, writable array.
     """
     total = prod(tt.phys_dims)
     if total > max_elements:
         raise CapacityError(
             f"dense tensor would have {total} elements (cap {max_elements})"
         )
-    acc = tt.cores[0]
-    for core in tt.cores[1:]:
-        acc = np.tensordot(acc, core, axes=([acc.ndim - 1], [0]))
-    return np.ascontiguousarray(acc.reshape(tt.phys_dims))
+    return _contract_chain(tt.cores).reshape(tt.phys_dims)
 
 
 def mpo_to_dense(
@@ -304,12 +321,10 @@ def mpo_to_dense(
         raise CapacityError(
             f"dense operator would have {total} elements (cap {max_elements})"
         )
-    acc = op.cores[0]
-    for core in op.cores[1:]:
-        acc = np.tensordot(acc, core, axes=([acc.ndim - 1], [0]))
-    # Axes now alternate (in_0, out_0, in_1, out_1, ...); expose outputs first.
-    acc = acc.reshape(acc.shape[1:-1])
+    flat = _contract_chain([c.reshape(c.shape[0], -1, c.shape[3]) for c in op.cores])
+    # Axes alternate (in_0, out_0, in_1, out_1, ...); expose outputs first.
     n = op.n_sites
+    acc = flat.reshape([d for pair in zip(op.in_dims, op.out_dims) for d in pair])
     perm = [2 * k + 1 for k in range(n)] + [2 * k for k in range(n)]
     return np.ascontiguousarray(np.transpose(acc, perm))
 

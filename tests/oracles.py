@@ -103,3 +103,39 @@ def dense_outer(vectors):
             val *= v[i]
         out[idx] = val
     return out
+
+
+def einsum_train_dense(cores):
+    """Dense tensor of a (left, physical, right) core chain by one einsum call."""
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    bonds = [next(letters) for _ in range(len(cores) + 1)]
+    phys = [next(letters) for _ in cores]
+    spec = ",".join(bonds[k] + phys[k] + bonds[k + 1] for k in range(len(cores)))
+    target = bonds[0] + "".join(phys) + bonds[-1]
+    out = np.einsum(f"{spec}->{target}", *cores, optimize=True)
+    return out.reshape(out.shape[1:-1])
+
+
+def einsum_operator_dense(cores):
+    """Dense (outputs..., inputs...) tensor of a (left, in, out, right) core chain."""
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    bonds = [next(letters) for _ in range(len(cores) + 1)]
+    ins = [next(letters) for _ in cores]
+    outs = [next(letters) for _ in cores]
+    spec = ",".join(bonds[k] + ins[k] + outs[k] + bonds[k + 1] for k in range(len(cores)))
+    target = bonds[0] + "".join(outs + ins) + bonds[-1]
+    out = np.einsum(f"{spec}->{target}", *cores, optimize=True)
+    return out.reshape(out.shape[1:-1])
+
+
+def fix_signs_loop(u, v):
+    """Reference sign fix, column by column: first non-negligible entry of u made >= 0."""
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        peak = np.max(np.abs(col))
+        if peak == 0.0:
+            continue
+        lead = col[np.abs(col) > 1e-12 * peak][0]
+        if lead < 0.0:
+            u[:, j] = -col
+            v[j, :] = -v[j, :]

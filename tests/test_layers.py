@@ -198,6 +198,19 @@ class TestApplyLayer:
         x = rng.normal(size=6)
         assert np.allclose(apply_compressed_layer(layer, x), a @ x + c, rtol=1e-9)
 
+    def test_truncated_layer_output_is_not_rounded(self):
+        # The result is the stored layer's own A'x + c', whatever its policy.
+        rng = np.random.default_rng(50)
+        plan = ShapePlan((4,) * 5, (4,) * 5)
+        a = rng.normal(size=(1024, 1024))
+        c = rng.normal(size=1024)
+        x = rng.normal(size=1024)
+        for bond in (2, 4, 8):
+            layer, _ = compress_layer(a, c, plan, TruncationPolicy.truncated(max_bond=bond))
+            want = mpo_to_matrix(layer.weights) @ x + tt_to_dense(layer.bias).reshape(-1)
+            got = apply_compressed_layer(layer, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_input_length_check(self):
         plan = ShapePlan((2, 2), (2, 2))
         layer, _ = compress_layer(np.eye(4), np.zeros(4), plan, EXACT)

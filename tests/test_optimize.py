@@ -219,6 +219,18 @@ class TestReadout:
     def test_uniform_ties_break_lexicographically(self):
         assert readout_exact(uniform_state(4, 3)) == (0, 0, 0, 0)
 
+    def test_single_site_readout_leaves_the_state_intact(self):
+        s = uniform_state(1, 3)
+        core = s.state.cores[0].copy()
+        assert readout_exact(s) == (0,)
+        assert np.array_equal(s.state.cores[0], core)
+
+    def test_negative_amplitude_wins_by_magnitude(self):
+        amps = np.full((2, 3), 0.1)
+        amps[1, 2] = -1.0
+        s = AmplitudeState(tt_svd(amps, TruncationPolicy.exact()))
+        assert readout_exact(s) == (1, 2)
+
     def test_dominant_amplitude_wins(self):
         amps = np.full((2, 2, 2), 0.1)
         amps[1, 0, 1] = 1.0
