@@ -1,12 +1,9 @@
 """Trains and operators: decomposition, truncation, rounding, application."""
 
 import tracemalloc
-from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from ttkit.errors import CapacityError, DimensionError, NumericalError
 from ttkit.tt import (
@@ -14,7 +11,6 @@ from ttkit.tt import (
     TensorTrainOperator,
     TruncationPolicy,
     apply_mpo,
-    _fix_signs,
     identity_mpo,
     mpo_to_dense,
     mpo_to_matrix,
@@ -30,12 +26,7 @@ from ttkit.tt import (
     tt_to_dense,
 )
 
-from oracles import (
-    einsum_operator_dense,
-    einsum_train_dense,
-    fix_signs_loop,
-    singular_values_via_gram,
-)
+from oracles import singular_values_via_gram
 
 EXACT = TruncationPolicy.exact()
 
@@ -52,15 +43,6 @@ def random_mpo(rng, n, din, dout, bond):
     return TensorTrainOperator(
         [rng.normal(size=(bonds[i], din, dout, bonds[i + 1])) for i in range(n)]
     )
-
-
-def assert_sign_fix_matches_loop(m):
-    # Byte-for-byte, so that -0.0 against 0.0 counts as a difference.
-    u, _, v = np.linalg.svd(m, full_matrices=False)
-    want_u, want_v = u.copy(), v.copy()
-    fix_signs_loop(want_u, want_v)
-    _fix_signs(u, v)
-    assert u.tobytes() == want_u.tobytes() and v.tobytes() == want_v.tobytes()
 
 
 class TestTruncatedSvd:
@@ -117,39 +99,6 @@ class TestTruncatedSvd:
             col = u1[:, j]
             lead = col[np.abs(col) > 1e-12 * np.max(np.abs(col))][0]
             assert lead >= 0
-
-    def test_sign_fix_matches_reference_loop(self):
-        rng = np.random.default_rng(13)
-        lead_zero = rng.normal(size=(6, 4))
-        lead_zero[:3] = 0.0
-        rank_two = rng.normal(size=(7, 2)) @ rng.normal(size=(2, 5))
-        cases = [
-            lead_zero,
-            lead_zero.T,
-            np.zeros((3, 4)),
-            rank_two,
-            rank_two.T,
-            np.outer([0.0, 0.0, -1.0, 2.0], [1.0, -3.0]),
-        ]
-        cases += [rng.normal(size=(5, 6)) * (rng.random((5, 6)) < 0.4) for _ in range(20)]
-        for m in cases:
-            assert_sign_fix_matches_loop(m)
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        st.integers(1, 8),
-        st.integers(1, 8),
-        st.integers(0, 8),
-        st.floats(0.0, 1.0),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_sign_fix_matches_reference_loop_on_sparse_matrices(
-        self, rows, cols, zero_rows, density, seed
-    ):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
-        m[:zero_rows] = 0.0
-        assert_sign_fix_matches_loop(m)
 
     def test_zero_matrix_keeps_one_value(self):
         u, s, v, dw = truncated_svd(np.zeros((3, 4)), EXACT)
@@ -232,73 +181,6 @@ class TestDensify:
         train = TensorTrain([np.ones((1, 2, 1))] * 24)
         with pytest.raises(CapacityError):
             tt_to_dense(train, max_elements=2**20)
-
-
-def seeded_chain(seed, dims, bonds):
-    """Random cores with the given physical-leg shapes and inner bonds."""
-    rng = np.random.default_rng(seed)
-    bonds = [1, *bonds, 1]
-    return [rng.normal(size=(bonds[k], *dims[k], bonds[k + 1])) for k in range(len(dims))]
-
-
-@st.composite
-def chains(draw, legs, max_sites, max_dim):
-    """Core chains over random shapes: size-1 legs, bond-1 links, a large middle bond."""
-    n = draw(st.integers(1, max_sites))
-    dims = [tuple(draw(st.integers(1, max_dim)) for _ in range(legs)) for _ in range(n)]
-    bonds = [draw(st.integers(1, 5)) for _ in range(n - 1)]
-    if n > 2 and draw(st.booleans()):
-        bonds[(n - 1) // 2] = draw(st.integers(20, 64))
-    return seeded_chain(draw(st.integers(0, 2**32 - 1)), dims, bonds)
-
-
-def assert_contracts_to(got, want, cores):
-    # Summation order differs from the oracle's; the rounding error is
-    # bounded by the product of the core norms.
-    scale = prod(np.linalg.norm(c) for c in cores)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
-
-
-class TestDensifyOracle:
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(chains(legs=1, max_sites=7, max_dim=4))
-    @example(seeded_chain(0, [(5,)], []))
-    @example(seeded_chain(1, [(1,), (3,), (1,), (2,)], [2, 1, 3]))
-    @example(seeded_chain(2, [(2,)] * 6, [1] * 5))
-    @example(seeded_chain(3, [(2,), (5,), (3,), (1,), (4,)], [2, 7, 3, 2]))
-    @example(seeded_chain(4, [(2,)] * 4, [2, 300, 2]))
-    def test_train_matches_einsum(self, cores):
-        train = TensorTrain(cores)
-        got = tt_to_dense(train)
-        assert_contracts_to(got, einsum_train_dense(cores), cores)
-        assert got.flags.writeable and got.flags.c_contiguous
-        assert not any(np.shares_memory(got, c) for c in train.cores)
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(chains(legs=2, max_sites=4, max_dim=3))
-    @example(seeded_chain(5, [(2, 3)], []))
-    @example(seeded_chain(6, [(1, 2), (3, 1), (1, 1)], [1, 4]))
-    @example(seeded_chain(7, [(2, 2)] * 3, [100, 3]))
-    def test_operator_matches_einsum(self, cores):
-        op = TensorTrainOperator(cores)
-        got = mpo_to_dense(op)
-        assert_contracts_to(got, einsum_operator_dense(cores), cores)
-        assert got.flags.writeable and got.flags.c_contiguous
-        assert not any(np.shares_memory(got, c) for c in op.cores)
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(chains(legs=1, max_sites=5, max_dim=3), chains(legs=2, max_sites=3, max_dim=3))
-    def test_cap_is_exact(self, train_cores, op_cores):
-        train, op = TensorTrain(train_cores), TensorTrainOperator(op_cores)
-        total = prod(train.phys_dims)
-        with pytest.raises(CapacityError):
-            tt_to_dense(train, max_elements=total - 1)
-        assert tt_to_dense(train, max_elements=total).size == total
-        total = prod(op.in_dims) * prod(op.out_dims)
-        with pytest.raises(CapacityError):
-            mpo_to_dense(op, max_elements=total - 1)
-        assert mpo_to_dense(op, max_elements=total).size == total
 
     def test_oversized_chain_raises_before_allocating(self):
         train = TensorTrain([np.ones((1, 2, 1))] * 20)
