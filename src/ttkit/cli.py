@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import io
 from .errors import (
@@ -226,7 +227,10 @@ def _cmd_oracle(parser: _Parser, args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    # Built once per process: parsing leaves no state in the parser, so
+    # every call to ``main`` reuses the same tree.
     parser = _Parser(prog="ttkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, chain
 from math import cos, pi, prod, sin
 from typing import Callable, Sequence
 
@@ -33,7 +34,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SiteKernel:
-    """Map from one real input component to a fixed-length feature vector."""
+    """Map from one real input component to a fixed-length feature vector.
+
+    ``func`` returns a flat sequence of ``dim`` floats.
+    """
 
     dim: int
     func: Callable[[float], Sequence[float]]
@@ -41,13 +45,23 @@ class SiteKernel:
 
     def __call__(self, x: float) -> np.ndarray:
         vec = np.asarray(self.func(float(x)), dtype=np.float64).reshape(-1)
-        if vec.shape != (self.dim,):
-            raise DimensionError(
-                f"kernel {self.name or self.func!r} returned {vec.shape}, expected ({self.dim},)"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise NumericalError("kernel produced non-finite features")
+        _check_features(vec, [vec.size], [self])
         return vec
+
+
+def _check_features(values: np.ndarray, sizes: list[int], kernels: Sequence[SiteKernel]) -> None:
+    """Raise unless each site returned its kernel's ``dim`` features, all finite.
+
+    ``values`` holds every site's features back to back; ``sizes`` is how
+    many each site returned.
+    """
+    if sizes != [k.dim for k in kernels]:
+        size, k = next((s, k) for s, k in zip(sizes, kernels) if s != k.dim)
+        raise DimensionError(
+            f"kernel {k.name or k.func!r} returned ({size},), expected ({k.dim},)"
+        )
+    if not np.isfinite(values).all():
+        raise NumericalError("kernel produced non-finite features")
 
 
 def product_kernel() -> SiteKernel:
@@ -106,13 +120,22 @@ class ProductState:
 
 
 def product_feature_map(x: Sequence[float], kernels: Sequence[SiteKernel]) -> ProductState:
-    """Evaluate one kernel per input component, keeping the result implicit."""
+    """Evaluate one kernel per input component, keeping the result implicit.
+
+    Every site's features are gathered into one float64 array and checked
+    there, once; the product state holds views of that array.
+    """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != len(kernels):
         raise DimensionError(
             f"{x.size} input components but {len(kernels)} site kernels"
         )
-    return ProductState(tuple(k(xi) for k, xi in zip(kernels, x)))
+    rows = [k.func(xi) for k, xi in zip(kernels, x.tolist())]
+    sizes = [len(row) for row in rows]
+    bounds = list(accumulate(sizes, initial=0))
+    values = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=bounds[-1])
+    _check_features(values, sizes, kernels)
+    return ProductState(tuple(values[a:b] for a, b in zip(bounds, bounds[1:])))
 
 
 def apply_mpo_to_product(
@@ -123,24 +146,26 @@ def apply_mpo_to_product(
     """Contract an operator train with a product state, site by site.
 
     Alternates absorbing a site vector into its operator core with merging
-    the new node into the running contraction, strictly left to right.  The
-    result has the operator's output indexes; with ``return_trace`` the
-    element count of every intermediate is also returned, which stays linear
-    in the number of sites for fixed output size and bond dimension.
+    the new node into the running contraction, strictly left to right.  Each
+    step is one matrix product (a matrix-vector product for the absorb), so a
+    site costs two BLAS calls and no transpose.  The result has the
+    operator's output indexes; with ``return_trace`` the element count of
+    every intermediate is also returned, per site the node's ``left * out *
+    right`` and then the running result's ``outputs so far * right``.  It
+    stays linear in the number of sites for fixed output size and bond
+    dimension.
     """
     if op.in_dims != ps.dims:
         raise DimensionError(
             f"operator inputs {op.in_dims} do not match feature dims {ps.dims}"
         )
     trace: list[int] = []
-    acc = None
+    acc = np.ones((1, 1))  # (outputs so far, bond)
     for core, vec in zip(op.cores, ps.vectors):
-        node = np.tensordot(core, vec, axes=([1], [0]))  # (left, out, right)
+        left, din, dout, right = core.shape
+        node = vec @ core.reshape(left, din, dout * right)  # (left, out * right)
         trace.append(node.size)
-        if acc is None:
-            acc = node.reshape(node.shape[1:])  # drop the unit left bond
-        else:
-            acc = np.tensordot(acc, node, axes=([acc.ndim - 1], [0]))
+        acc = acc.reshape(-1, left) @ node
         trace.append(acc.size)
-    result = np.ascontiguousarray(acc.reshape(op.out_dims))
+    result = acc.reshape(op.out_dims)
     return (result, trace) if return_trace else result

@@ -439,8 +439,11 @@ def apply_mpo(
 ) -> TensorTrain:
     """Apply an operator train to a state train site by site.
 
-    Bond dimensions multiply link-wise; pass a policy to round the result
-    afterwards, or ``None`` to keep it unrounded.
+    Each site is one broadcast matrix product that writes the merged core
+    straight in its final ``(op left, state left, out, op right, state
+    right)`` order, so no transpose copy follows.  Bond dimensions multiply
+    link-wise; pass a policy to round the result afterwards, or ``None`` to
+    keep it unrounded.
     """
     if op.in_dims != state.phys_dims:
         raise DimensionError(
@@ -448,10 +451,11 @@ def apply_mpo(
         )
     cores = []
     for w, c in zip(op.cores, state.cores):
-        lo, _, dout, ro = w.shape
+        lo, din, dout, ro = w.shape
         ls, _, rs = c.shape
-        merged = np.tensordot(w, c, axes=([1], [1]))  # (lo, dout, ro, ls, rs)
-        merged = merged.transpose(0, 3, 1, 2, 4)
+        # (lo, 1, dout*ro, din) @ (1, ls, din, rs) -> (lo, ls, dout*ro, rs)
+        w_rows = w.transpose(0, 2, 3, 1).reshape(lo, 1, dout * ro, din)
+        merged = w_rows @ c.reshape(1, ls, din, rs)
         cores.append(merged.reshape(lo * ls, dout, ro * rs))
     result = TensorTrain(cores)
     if policy is not None:

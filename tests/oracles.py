@@ -128,6 +128,26 @@ def einsum_operator_dense(cores):
     return out.reshape(out.shape[1:-1])
 
 
+def einsum_apply_dense(op_cores, state_cores):
+    """Dense outputs of a (left, in, out, right) chain applied to a (left, in, right) chain.
+
+    One einsum call over both chains at once.
+    """
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    n = len(op_cores)
+    op_bonds = [next(letters) for _ in range(n + 1)]
+    st_bonds = [next(letters) for _ in range(n + 1)]
+    ins = [next(letters) for _ in range(n)]
+    outs = [next(letters) for _ in range(n)]
+    spec = ",".join(
+        [op_bonds[k] + ins[k] + outs[k] + op_bonds[k + 1] for k in range(n)]
+        + [st_bonds[k] + ins[k] + st_bonds[k + 1] for k in range(n)]
+    )
+    target = op_bonds[0] + st_bonds[0] + "".join(outs) + op_bonds[-1] + st_bonds[-1]
+    out = np.einsum(f"{spec}->{target}", *op_cores, *state_cores, optimize=True)
+    return out.reshape(out.shape[2:-2])
+
+
 def fix_signs_loop(u, v):
     """Reference sign fix, column by column: first non-negligible entry of u made >= 0."""
     for j in range(u.shape[1]):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ttkit import io
+from ttkit import cli, io
 from ttkit.tt import TensorTrain, TensorTrainOperator, tt_to_dense
 
 RUN = [sys.executable, "-m", "ttkit"]
@@ -284,6 +284,23 @@ class TestCliContract:
         for args in cases:
             r = run_cli(*args)
             assert r.returncode == 3, (args, r.returncode, r.stderr)
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # The parser is built once per process; repeated in-process calls
+        # keep the exit codes of separate runs and share no flag values.
+        src = tmp_path / "t.json"
+        io.write_tensor(src, np.ones(4), fmt="text")
+        out = tmp_path / "o.json"
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["compress"])
+            assert exc.value.code == 1
+            argv = ["compress", "--input", str(src), "--output", str(out)]
+            assert cli.main(argv + ["--max-bond", "3"]) == 0
+            assert cli.build_parser().parse_args(argv).max_bond is None
+            assert cli.main(["compress", "--input", str(tmp_path / "missing.json"),
+                             "--output", str(out)]) == 2
 
     def test_no_partial_output_on_usage_error(self, tmp_path):
         out = tmp_path / "out.json"

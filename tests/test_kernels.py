@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttkit.errors import CapacityError, DimensionError
+from ttkit.errors import CapacityError, DimensionError, NumericalError
 from ttkit.kernels import (
     ProductState,
     SiteKernel,
@@ -66,6 +66,22 @@ class TestFeatureMap:
             bad(1.0)
         with pytest.raises(DimensionError):
             product_feature_map([1.0, 2.0], [product_kernel()])
+        # The same checks hold when the kernels run through the feature map.
+        with pytest.raises(DimensionError):
+            product_feature_map([1.0, 2.0, 3.0], [product_kernel(), bad, product_kernel()])
+        nan = SiteKernel(2, lambda x: (x, float("nan")))
+        with pytest.raises(NumericalError):
+            nan(1.0)
+        with pytest.raises(NumericalError):
+            product_feature_map([1.0, 2.0], [product_kernel(), nan])
+        # Mixed dims: each site's vector is exactly what its kernel returns alone.
+        three = SiteKernel(3, lambda x: (x, x * x, 1.0))
+        kernels = [three, product_kernel(), three, cosine_kernel()]
+        x = [0.5, -2.0, 3.0, 0.25]
+        ps = product_feature_map(x, kernels)
+        assert ps.dims == (3, 2, 3, 2)
+        for vec, k, xi in zip(ps.vectors, kernels, x):
+            assert np.array_equal(vec, k(xi))
 
     def test_dense_cap(self):
         ps = ProductState(tuple(np.ones(2) for _ in range(24)))

@@ -1,4 +1,5 @@
-"""Property tests of densification and the SVD sign fix against plain references."""
+"""Property tests of densification, operator application and the SVD sign fix
+against plain references."""
 
 from math import prod
 
@@ -8,15 +9,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttkit.errors import CapacityError
+from ttkit.kernels import ProductState, apply_mpo_to_product
 from ttkit.tt import (
     TensorTrain,
     TensorTrainOperator,
     _fix_signs,
+    apply_mpo,
     mpo_to_dense,
+    mpo_to_matrix,
     tt_to_dense,
 )
 
-from oracles import einsum_operator_dense, einsum_train_dense, fix_signs_loop
+from oracles import (
+    einsum_apply_dense,
+    einsum_operator_dense,
+    einsum_train_dense,
+    fix_signs_loop,
+)
 
 _rng = np.random.default_rng(13)
 LEAD_ZERO = _rng.normal(size=(6, 4))
@@ -116,3 +125,67 @@ class TestDensifyOracle:
         with pytest.raises(CapacityError):
             mpo_to_dense(op, max_elements=total - 1)
         assert mpo_to_dense(op, max_elements=total).size == total
+
+
+def seeded_pair(seed, ins, outs, op_bonds, state_bonds):
+    """An operator chain and a state chain that share the input dims ``ins``."""
+    op = seeded_chain(seed, list(zip(ins, outs)), op_bonds)
+    state = seeded_chain(seed + 1, [(d,) for d in ins], state_bonds)
+    return op, state
+
+
+@st.composite
+def operator_state_pairs(draw, max_sites=4):
+    """Operator and state chains over random shapes; either may carry a bond up to 32."""
+    n = draw(st.integers(1, max_sites))
+    ins = [draw(st.integers(1, 3)) for _ in range(n)]
+    outs = [draw(st.integers(1, 3)) for _ in range(n)]
+    op_bonds = [draw(st.integers(1, 4)) for _ in range(n - 1)]
+    state_bonds = [draw(st.integers(1, 4)) for _ in range(n - 1)]
+    if n > 1 and draw(st.booleans()):
+        link = draw(st.integers(0, n - 2))
+        bonds = draw(st.sampled_from([op_bonds, state_bonds]))
+        bonds[link] = draw(st.integers(5, 32))
+    return seeded_pair(draw(st.integers(0, 2**32 - 2)), ins, outs, op_bonds, state_bonds)
+
+
+class TestApplyOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(operator_state_pairs())
+    @example(seeded_pair(10, [3], [2], [], []))
+    @example(seeded_pair(11, [1, 2, 1], [2, 1, 1], [2, 3], [1, 4]))
+    @example(seeded_pair(12, [2] * 5, [2] * 5, [1] * 4, [1] * 4))
+    @example(seeded_pair(13, [3, 1, 2], [1, 3, 2], [2, 2], [3, 2]))
+    @example(seeded_pair(14, [2, 2, 2], [3, 3, 3], [32, 32], [32, 32]))
+    def test_apply_mpo_matches_einsum(self, pair):
+        op_cores, state_cores = pair
+        op, state = TensorTrainOperator(op_cores), TensorTrain(state_cores)
+        got = apply_mpo(op, state)
+        assert got.phys_dims == op.out_dims
+        assert got.bond_dims == tuple(a * b for a, b in zip(op.bond_dims, state.bond_dims))
+        assert_contracts_to(
+            tt_to_dense(got), einsum_apply_dense(op_cores, state_cores), op_cores + state_cores
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(operator_state_pairs(max_sites=6))
+    @example(seeded_pair(15, [3], [2], [], []))
+    @example(seeded_pair(16, [1, 2, 1], [2, 1, 1], [2, 3], [1, 1]))
+    @example(seeded_pair(17, [2] * 6, [1, 2, 1, 1, 2, 1], [1] * 5, [1] * 5))
+    @example(seeded_pair(18, [2, 2, 2], [3, 1, 3], [32, 32], [1, 1]))
+    def test_apply_mpo_to_product_matches_matrix(self, pair):
+        op_cores, state_cores = pair
+        op = TensorTrainOperator(op_cores)
+        # The state chain's bond-1 slices serve as the site vectors.
+        ps = ProductState(tuple(c[0, :, 0] for c in state_cores))
+        got, trace = apply_mpo_to_product(op, ps, return_trace=True)
+        want = (mpo_to_matrix(op) @ ps.to_dense().ravel()).reshape(op.out_dims)
+        assert_contracts_to(got, want, op_cores + list(ps.vectors))
+        assert got.flags.writeable and got.flags.c_contiguous
+        # Per site: the node (left * out * right), then the running result
+        # (outputs so far * right).
+        want_trace, outputs = [], 1
+        for left, _, dout, right in (c.shape for c in op_cores):
+            outputs *= dout
+            want_trace += [left * dout * right, outputs * right]
+        assert trace == want_trace
