@@ -230,7 +230,8 @@ def _cmd_oracle(parser: _Parser, args) -> int:
 @cache
 def build_parser() -> _Parser:
     # Built once per process: parsing leaves no state in the parser, so
-    # every call to ``main`` reuses the same tree.
+    # every call to ``main`` reuses the same tree.  Callers must not modify
+    # the returned parser.
     parser = _Parser(prog="ttkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -143,9 +143,8 @@ def operator_state_pairs(draw, max_sites=4):
     op_bonds = [draw(st.integers(1, 4)) for _ in range(n - 1)]
     state_bonds = [draw(st.integers(1, 4)) for _ in range(n - 1)]
     if n > 1 and draw(st.booleans()):
-        link = draw(st.integers(0, n - 2))
-        bonds = draw(st.sampled_from([op_bonds, state_bonds]))
-        bonds[link] = draw(st.integers(5, 32))
+        bonds = op_bonds if draw(st.booleans()) else state_bonds
+        bonds[draw(st.integers(0, n - 2))] = draw(st.integers(5, 32))
     return seeded_pair(draw(st.integers(0, 2**32 - 2)), ins, outs, op_bonds, state_bonds)
 
 
