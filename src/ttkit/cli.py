@@ -177,8 +177,6 @@ def _cmd_kernel_apply(parser: _Parser, args) -> int:
     if not isinstance(train, TensorTrainOperator):
         raise io.FormatError(f"{args.mpo}: expected an mpo train")
     x = io.read_tensor(args.input_vector)
-    if x.ndim != 1:
-        raise DimensionError(f"--input-vector must be 1-dimensional, got rank {x.ndim}")
     kernel = SITE_KERNELS[args.site_kernel]()
     features = product_feature_map(x, [kernel] * x.size)
     result = apply_mpo_to_product(train, features)

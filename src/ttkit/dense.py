@@ -8,7 +8,7 @@ the toolkit is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from math import prod
 from typing import Sequence
@@ -67,35 +67,31 @@ def permute(t: np.ndarray, perm: Sequence[int]) -> np.ndarray:
 class GroupingPlan:
     """A bijective merge of tensor indexes.
 
-    ``groups`` lists source index positions; after applying ``permutation``
-    the positions of each group are adjacent, and each group is merged into
-    one index whose dimension is the product of its members.  The merged
-    index enumerates its constituents row-major (first constituent slowest).
-    If ``permutation`` is omitted it is derived from the group order.
+    ``groups`` lists source index positions and must use every position
+    once.  The source axes are first permuted into the concatenated group
+    order (:attr:`permutation`), so the positions of each group are
+    adjacent, and each group is merged into one index whose dimension is the
+    product of its members.  The merged index enumerates its constituents
+    row-major (first constituent slowest).
     """
 
     source_shape: tuple[int, ...]
     groups: tuple[tuple[int, ...], ...]
-    permutation: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.source_shape)
         groups = tuple(tuple(int(p) for p in g) for g in self.groups)
-        flat = tuple(chain.from_iterable(groups))
-        perm = tuple(int(p) for p in self.permutation) if self.permutation else flat
         object.__setattr__(self, "source_shape", shape)
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "permutation", perm)
         if any(n < 1 for n in shape):
             raise DimensionError(f"invalid source shape {shape}")
         if any(len(g) == 0 for g in groups):
             raise DimensionError("empty group in grouping plan")
-        _check_permutation(perm, len(shape))
-        if flat != perm:
-            raise DimensionError(
-                "groups must partition the permuted index positions in order: "
-                f"groups flatten to {flat}, permutation is {perm}"
-            )
+        _check_permutation(self.permutation, len(shape))
+
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.groups))
 
     @property
     def grouped_shape(self) -> tuple[int, ...]:

@@ -48,6 +48,16 @@ class FormatError(TtkitError, ValueError):
     """A file does not follow its declared format."""
 
 
+def _reject_bools(value) -> None:
+    # JSON true/false load as Python bools, which int checks and numpy take
+    # for the numbers 1 and 0.
+    if isinstance(value, bool):
+        raise FormatError("found a boolean where a number belongs")
+    if isinstance(value, list):
+        for item in value:
+            _reject_bools(item)
+
+
 def tensor_to_obj(t: np.ndarray) -> dict:
     t = np.asarray(t, dtype=np.float64)
     return {"dims": list(t.shape), "data": [float(x) for x in t.ravel()]}
@@ -58,9 +68,13 @@ def tensor_from_obj(obj) -> np.ndarray:
         raise FormatError("tensor object must have exactly the keys 'dims' and 'data'")
     dims = obj["dims"]
     data = obj["data"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d >= 1 for d in dims):
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
         raise FormatError(f"invalid dims {dims!r}")
-    if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+    if not isinstance(data, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
+    ):
         raise FormatError("data must be a list of numbers")
     expected = int(np.prod(dims, dtype=np.int64)) if dims else 1
     if len(data) != expected:
@@ -99,18 +113,14 @@ def _read_tensor_binary(raw: bytes, path: Path) -> np.ndarray:
     return data.astype(np.float64).reshape(dims)
 
 
-def write_tensor(path, t: np.ndarray, fmt: str | None = None) -> None:
-    """Write a tensor file; format from ``fmt`` or the extension (.json = text)."""
+def write_tensor(path, t: np.ndarray) -> None:
+    """Write a tensor file: JSON text for a ``.json`` path, TTKT binary otherwise."""
     path = Path(path)
     t = np.asarray(t, dtype=np.float64)
-    if fmt is None:
-        fmt = "text" if path.suffix == ".json" else "binary"
-    if fmt == "text":
+    if path.suffix == ".json":
         write_json(path, tensor_to_obj(t))
-    elif fmt == "binary":
-        _write_tensor_binary(path, t)
     else:
-        raise ValueError(f"unknown tensor format {fmt!r}")
+        _write_tensor_binary(path, t)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -129,17 +139,20 @@ def read_tensor(path) -> np.ndarray:
     return tensor_from_obj(obj)
 
 
-def train_to_obj(train: TensorTrain | TensorTrainOperator) -> dict:
+def _train_dims(train: TensorTrain | TensorTrainOperator) -> dict:
+    # The "phys_dims" and "bond_dims" entries of a train document.
     if isinstance(train, TensorTrainOperator):
-        kind = "mpo"
         phys = [[i, o] for i, o in zip(train.in_dims, train.out_dims)]
     else:
-        kind = "mps"
         phys = list(train.phys_dims)
+    return {"phys_dims": phys, "bond_dims": list(train.bond_dims)}
+
+
+def train_to_obj(train: TensorTrain | TensorTrainOperator) -> dict:
+    kind = "mpo" if isinstance(train, TensorTrainOperator) else "mps"
     return {
         "kind": kind,
-        "phys_dims": phys,
-        "bond_dims": list(train.bond_dims),
+        **_train_dims(train),
         "cores": [tensor_to_obj(c) for c in train.cores],
     }
 
@@ -158,17 +171,10 @@ def train_from_obj(obj) -> TensorTrain | TensorTrainOperator:
         train = TensorTrain(cores) if kind == "mps" else TensorTrainOperator(cores)
     except TtkitError as exc:
         raise FormatError(f"invalid {kind} cores: {exc}") from exc
-    declared = train_to_obj(train)
-    if declared["phys_dims"] != obj["phys_dims"]:
-        raise FormatError(
-            f"declared phys_dims {obj['phys_dims']} do not match cores "
-            f"{declared['phys_dims']}"
-        )
-    if declared["bond_dims"] != obj["bond_dims"]:
-        raise FormatError(
-            f"declared bond_dims {obj['bond_dims']} do not match cores "
-            f"{declared['bond_dims']}"
-        )
+    _reject_bools([obj["phys_dims"], obj["bond_dims"]])
+    for key, found in _train_dims(train).items():
+        if found != obj[key]:
+            raise FormatError(f"declared {key} {obj[key]} do not match cores {found}")
     return train
 
 
@@ -189,6 +195,7 @@ def read_problem(path) -> tuple[str, object]:
         if set(obj) != {"cost_matrix", "variant"}:
             raise FormatError("tsp problem needs exactly 'cost_matrix' and 'variant'")
         variant = obj["variant"]
+        _reject_bools(obj["cost_matrix"])
         try:
             costs = _tsp_costs(obj["cost_matrix"], variant)
         except (TypeError, ValueError) as exc:
@@ -197,6 +204,7 @@ def read_problem(path) -> tuple[str, object]:
     missing = {"n", "d", "v", "w"} - set(obj)
     if missing:
         raise FormatError(f"qudo problem lacks keys {sorted(missing)}")
+    _reject_bools([obj[key] for key in ("n", "d", "v", "w")])
     n, d = obj["n"], obj["d"]
     if not (isinstance(n, int) and isinstance(d, int)):
         raise FormatError(f"invalid sizes n={n!r}, d={d!r}")

@@ -122,10 +122,13 @@ class ProductState:
 def product_feature_map(x: Sequence[float], kernels: Sequence[SiteKernel]) -> ProductState:
     """Evaluate one kernel per input component, keeping the result implicit.
 
-    Every site's features are gathered into one float64 array and checked
-    there, once; the product state holds views of that array.
+    ``x`` must be one-dimensional.  Every site's features are gathered into
+    one float64 array and checked there, once; the product state holds
+    views of that array.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionError(f"input must be a vector, got rank {x.ndim}")
     if x.size != len(kernels):
         raise DimensionError(
             f"{x.size} input components but {len(kernels)} site kernels"

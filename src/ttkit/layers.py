@@ -5,9 +5,9 @@ columns into factors, interleave so each row factor sits next to its column
 factor, group the pairs, run the SVD sweep, and split each physical index
 back into its (output, input) pair.  Vectors compress the same way without
 the pairing.  A compressed layer evaluates the stored ``A' x + c'``
-exactly: the input vector is split into an exact train, the operator train
-is applied and densified, and the densified bias is added.  The output is
-not rounded again.
+exactly: the input vector is split into an exact train, the operator's
+cores are merged with it site by site and contracted straight to a dense
+vector, and the densified bias is added.  The output is not rounded again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .tt import (
     TensorTrain,
     TensorTrainOperator,
     TruncationPolicy,
-    apply_mpo,
+    _apply_cores,
+    _contract_chain,
     mpo_to_matrix,
     tt_svd,
     tt_to_dense,
@@ -121,6 +122,24 @@ class CompressionReport:
         return sqrt(sum(self.link_discarded_weights))
 
 
+def _report(
+    dense_params: int,
+    compressed_params: int,
+    link_weights: Sequence[float],
+    ref_norm_sq: float,
+    err: float | None,
+) -> CompressionReport:
+    # ``err`` is the Frobenius error measured by densification, or None when
+    # the dense form is over the cap and the discarded-weight bound stands in.
+    is_bound = err is None
+    if is_bound:
+        err = sqrt(sum(link_weights))
+    relative = err / sqrt(ref_norm_sq) if ref_norm_sq > 0 else 0.0
+    return CompressionReport(
+        dense_params, compressed_params, relative, tuple(link_weights), is_bound
+    )
+
+
 @dataclass(frozen=True)
 class CompressedLayer:
     """Train-form weights and bias of a dense layer, plus the plan that built them."""
@@ -213,26 +232,17 @@ def compress_layer(
     weights_op, w_dw = matrix_to_mpo(a, plan, policy, return_weights=True)
     bias_tt, b_dw = vector_to_mps(c, plan.row_factors, policy, return_weights=True)
     layer = CompressedLayer(weights_op, bias_tt, plan, policy)
-
-    dense_params = plan.n_rows * (plan.n_cols + 1)
-    compressed_params = weights_op.param_count() + bias_tt.param_count()
-    ref_norm_sq = float(np.sum(a**2) + np.sum(c**2))
+    err = None
     if a.size + c.size <= DENSE_CAP_DEFAULT:
         a_err = float(np.sum((mpo_to_matrix(weights_op) - a) ** 2))
         c_err = float(np.sum((tt_to_dense(bias_tt).reshape(-1) - c) ** 2))
-        error = sqrt((a_err + c_err) / ref_norm_sq) if ref_norm_sq > 0 else 0.0
-        is_bound = False
-    else:
-        error = (
-            sqrt(sum(w_dw) + sum(b_dw)) / sqrt(ref_norm_sq) if ref_norm_sq > 0 else 0.0
-        )
-        is_bound = True
-    report = CompressionReport(
-        dense_params=dense_params,
-        compressed_params=compressed_params,
-        relative_error=error,
-        link_discarded_weights=tuple(w_dw) + tuple(b_dw),
-        error_is_bound=is_bound,
+        err = sqrt(a_err + c_err)
+    report = _report(
+        plan.n_rows * (plan.n_cols + 1),
+        weights_op.param_count() + bias_tt.param_count(),
+        w_dw + b_dw,
+        float(np.sum(a**2) + np.sum(c**2)),
+        err,
     )
     return layer, report
 
@@ -243,8 +253,9 @@ def apply_compressed_layer(
 ) -> np.ndarray:
     """Evaluate the stored layer's ``A' x + c'`` exactly, as a dense vector.
 
-    The input is split into an exact train and the weight train applied to
-    it; the product and the bias are densified and added, with no rounding.
+    The input is split into an exact train, and the weight train's merged
+    cores are contracted with it straight to a dense vector; the densified
+    bias is added, with no rounding.
     """
     x = as_tensor(x)
     if x.shape != (layer.plan.n_cols,):
@@ -252,7 +263,7 @@ def apply_compressed_layer(
             f"input must have length {layer.plan.n_cols}, got shape {x.shape}"
         )
     x_tt = vector_to_mps(x, layer.plan.col_factors, TruncationPolicy.exact())
-    y = tt_to_dense(apply_mpo(layer.weights, x_tt)).reshape(-1)
+    y = _contract_chain(list(_apply_cores(layer.weights, x_tt)))
     return y + tt_to_dense(layer.bias).reshape(-1)
 
 
@@ -273,19 +284,8 @@ def compress_dataset(
             f"factor dims {dims} do not cover {t.size} elements"
         )
     train, dw = tt_svd(t.reshape(dims), policy, return_weights=True)
-    ref_norm_sq = float(np.sum(t**2))
+    err = None
     if t.size <= DENSE_CAP_DEFAULT:
         err = float(np.linalg.norm(tt_to_dense(train).reshape(-1) - t.reshape(-1)))
-        error = err / sqrt(ref_norm_sq) if ref_norm_sq > 0 else 0.0
-        is_bound = False
-    else:
-        error = sqrt(sum(dw)) / sqrt(ref_norm_sq) if ref_norm_sq > 0 else 0.0
-        is_bound = True
-    report = CompressionReport(
-        dense_params=t.size,
-        compressed_params=train.param_count(),
-        relative_error=error,
-        link_discarded_weights=tuple(dw),
-        error_is_bound=is_bound,
-    )
+    report = _report(t.size, train.param_count(), dw, float(np.sum(t**2)), err)
     return train, report

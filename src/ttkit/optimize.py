@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import log
+from typing import Sequence
 
 import numpy as np
 
@@ -192,7 +193,7 @@ class AmplitudeState:
         return tt_to_dense(self.state, max_elements)
 
 
-def _rescaled(cores: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
+def _rescaled(cores: Sequence[np.ndarray]) -> tuple[TensorTrain, float]:
     # Factor the peak magnitude out of every core; the product of the factors
     # moves into the log scale.
     shift = 0.0
@@ -203,12 +204,7 @@ def _rescaled(cores: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
             raise InfeasibilityError("state collapsed to zero")
         out.append(core / peak)
         shift += log(peak)
-    return out, shift
-
-
-def _rescaled_state(state: TensorTrain) -> tuple[TensorTrain, float]:
-    cores, shift = _rescaled([np.asarray(c) for c in state.cores])
-    return TensorTrain(cores), shift
+    return TensorTrain(out), shift
 
 
 def uniform_state(n: int, d: int) -> AmplitudeState:
@@ -278,10 +274,10 @@ def non_repetition_layer(
 
 def apply_non_repetition(
     s: AmplitudeState,
-    cfg: IteConfig = IteConfig(),
+    policy: TruncationPolicy = TruncationPolicy(),
     max_counts=None,
 ) -> AmplitudeState:
-    """Apply one counter layer per value, rounding with ``cfg.policy`` between layers.
+    """Apply one counter layer per value, rounding with ``policy`` after each layer.
 
     Configurations that exceed any value's allowed count end with amplitude
     zero; all others keep their previous ratios.  ``max_counts`` gives a
@@ -302,10 +298,8 @@ def apply_non_repetition(
     state, log_scale = s.state, s.log_scale
     for value in range(d):
         layer = non_repetition_layer(n, d, value, counts[value])
-        state = apply_mpo(layer, state)
-        state, shift = _rescaled_state(state)
-        state = tt_round(state, cfg.policy)
-        state, shift2 = _rescaled_state(state)
+        state, shift = _rescaled(apply_mpo(layer, state).cores)
+        state, shift2 = _rescaled(tt_round(state, policy).cores)
         log_scale += shift + shift2
     norm = tt_norm(state)
     if not np.isfinite(norm) or norm == 0.0:
@@ -413,8 +407,8 @@ def _project_site(s: AmplitudeState, site: int, value: int) -> AmplitudeState:
     mask = np.zeros(cores[site].shape[1])
     mask[value] = 1.0
     cores[site] = cores[site] * mask[None, :, None]
-    cores, shift = _rescaled(cores)
-    return AmplitudeState(TensorTrain(cores), s.log_scale + shift)
+    state, shift = _rescaled(cores)
+    return AmplitudeState(state, s.log_scale + shift)
 
 
 def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteConfig()) -> Solution:
@@ -433,7 +427,7 @@ def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteCo
     def constrain(state: AmplitudeState) -> AmplitudeState:
         if variant == "closed":
             state = _project_site(state, 0, 0)
-        return apply_non_repetition(state, cfg)
+        return apply_non_repetition(state, cfg.policy)
 
     sol = _solve(problem, cfg, constrain)
     tour = sol.configuration
@@ -444,12 +438,12 @@ def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteCo
     return sol
 
 
-def brute_force_qudo(problem: QudoProblem, max_configs: int = BRUTE_FORCE_CAP) -> Solution:
+def brute_force_qudo(problem: QudoProblem) -> Solution:
     """Exhaustive minimum with the same lexicographic tie-break as exact readout."""
     n, d = problem.n, problem.d
     total = d**n
-    if total > max_configs:
-        raise CapacityError(f"{total} configurations exceed the cap {max_configs}")
+    if total > BRUTE_FORCE_CAP:
+        raise CapacityError(f"{total} configurations exceed the cap {BRUTE_FORCE_CAP}")
     cost = np.zeros((d,) * n)
     for i in range(n):
         shape = [1] * n
@@ -465,14 +459,12 @@ def brute_force_qudo(problem: QudoProblem, max_configs: int = BRUTE_FORCE_CAP) -
     return Solution(config, problem.cost(config), "oracle")
 
 
-def brute_force_tsp(
-    costs: np.ndarray, variant: str = "closed", max_nodes: int = BRUTE_FORCE_TSP_MAX_NODES
-) -> Solution:
+def brute_force_tsp(costs: np.ndarray, variant: str = "closed") -> Solution:
     """Exhaustive tour enumeration in lexicographic order."""
     costs = _tsp_costs(costs, variant)
     d = costs.shape[0]
-    if d > max_nodes:
-        raise CapacityError(f"{d} nodes exceed the enumeration cap {max_nodes}")
+    if d > BRUTE_FORCE_TSP_MAX_NODES:
+        raise CapacityError(f"{d} nodes exceed the enumeration cap {BRUTE_FORCE_TSP_MAX_NODES}")
     if variant == "closed":
         tours = ((0,) + rest for rest in permutations(range(1, d)))
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -233,13 +233,11 @@ def param_count_mps(n_sites: int, phys_dim: int, bond_dim: int) -> int:
 
 
 def param_count_mpo(n_sites: int, phys_dim: int, bond_dim: int) -> int:
-    """Stored elements of a uniform MPO: ``2d^2 b`` boundary plus ``d^2 b^2`` per interior core."""
-    n, d, b = int(n_sites), int(phys_dim), int(bond_dim)
-    if n < 1 or d < 1 or b < 1:
+    """Stored elements of a uniform MPO: a uniform MPS with ``d^2`` values per site."""
+    d = int(phys_dim)
+    if d < 1:
         raise DimensionError("n_sites, phys_dim, bond_dim must all be >= 1")
-    if n == 1:
-        return d * d
-    return 2 * d * d * b + (n - 2) * d * d * b * b
+    return param_count_mps(n_sites, d * d, bond_dim)
 
 
 def tt_svd(
@@ -329,12 +327,9 @@ def mpo_to_dense(
     return np.ascontiguousarray(np.transpose(acc, perm))
 
 
-def mpo_to_matrix(
-    op: TensorTrainOperator, max_elements: int = DENSE_CAP_DEFAULT
-) -> np.ndarray:
+def mpo_to_matrix(op: TensorTrainOperator) -> np.ndarray:
     """Dense matrix of an operator train: rows are outputs, columns inputs."""
-    dense = mpo_to_dense(op, max_elements)
-    return dense.reshape(prod(op.out_dims), prod(op.in_dims))
+    return mpo_to_dense(op).reshape(prod(op.out_dims), prod(op.in_dims))
 
 
 def tt_round(
@@ -353,9 +348,6 @@ def tt_round(
         if not np.all(np.isfinite(c)):
             raise NumericalError("train contains non-finite entries")
     n = len(cores)
-    if n == 1:
-        train = TensorTrain(cores)
-        return (train, []) if return_weights else train
 
     # Sweep right to left, leaving cores 1..n-1 right-orthogonal.
     for k in range(n - 1, 0, -1):
@@ -432,35 +424,31 @@ def tt_add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
     return TensorTrain(cores)
 
 
-def apply_mpo(
-    op: TensorTrainOperator,
-    state: TensorTrain,
-    policy: TruncationPolicy | None = None,
-) -> TensorTrain:
-    """Apply an operator train to a state train site by site.
-
-    Each site is one broadcast matrix product that writes the merged core
-    straight in its final ``(op left, state left, out, op right, state
-    right)`` order, so no transpose copy follows.  Bond dimensions multiply
-    link-wise; pass a policy to round the result afterwards, or ``None`` to
-    keep it unrounded.
-    """
+def _apply_cores(op: TensorTrainOperator, state: TensorTrain) -> Iterator[np.ndarray]:
+    # Merged cores of ``op`` applied to ``state``, one per site.  Each is one
+    # broadcast matrix product that writes it straight in its final
+    # ``(op left, state left, out, op right, state right)`` order, so no
+    # transpose copy follows.
     if op.in_dims != state.phys_dims:
         raise DimensionError(
             f"operator inputs {op.in_dims} do not match state {state.phys_dims}"
         )
-    cores = []
     for w, c in zip(op.cores, state.cores):
         lo, din, dout, ro = w.shape
         ls, _, rs = c.shape
         # (lo, 1, dout*ro, din) @ (1, ls, din, rs) -> (lo, ls, dout*ro, rs)
         w_rows = w.transpose(0, 2, 3, 1).reshape(lo, 1, dout * ro, din)
         merged = w_rows @ c.reshape(1, ls, din, rs)
-        cores.append(merged.reshape(lo * ls, dout, ro * rs))
-    result = TensorTrain(cores)
-    if policy is not None:
-        result = tt_round(result, policy)
-    return result
+        yield merged.reshape(lo * ls, dout, ro * rs)
+
+
+def apply_mpo(op: TensorTrainOperator, state: TensorTrain) -> TensorTrain:
+    """Apply an operator train to a state train site by site.
+
+    Bond dimensions multiply link-wise and the result is not rounded;
+    ``tt_round(apply_mpo(op, state), policy)`` rounds it.
+    """
+    return TensorTrain(_apply_cores(op, state))
 
 
 def identity_mpo(phys_dims: Sequence[int]) -> TensorTrainOperator:

@@ -328,11 +328,11 @@ def test_criterion_11_cli_contract():
 
         # exit codes against a malformed-fixture corpus
         good = tmp / "good.json"
-        io.write_tensor(good, np.ones(4), fmt="text")
+        io.write_tensor(good, np.ones(4))
         bad = tmp / "bad.json"
         bad.write_text("{not json")
         nan_file = tmp / "nan.json"
-        io.write_tensor(nan_file, np.array([np.nan, 1.0]), fmt="text")
+        io.write_tensor(nan_file, np.array([np.nan, 1.0]))
         big = tmp / "big.json"
         io.write_json(
             big,

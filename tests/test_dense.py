@@ -117,8 +117,6 @@ class TestGroupSplit:
             GroupingPlan((2, 3), ((0,), (0,)))
         with pytest.raises(DimensionError):
             GroupingPlan((2, 3), ((0,),))
-        with pytest.raises(DimensionError):
-            GroupingPlan((2, 3), ((0, 1),), permutation=(1, 0))
 
 
 class TestContractPair:

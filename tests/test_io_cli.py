@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ttkit import cli, io
-from ttkit.tt import TensorTrain, TensorTrainOperator, tt_to_dense
+from ttkit.tt import TensorTrain, TensorTrainOperator, identity_mpo, tt_to_dense
 
 RUN = [sys.executable, "-m", "ttkit"]
 
@@ -214,7 +214,7 @@ class TestCliContract:
 
     def test_usage_errors_exit_1(self, tmp_path):
         src = tmp_path / "t.json"
-        io.write_tensor(src, np.ones(4), fmt="text")
+        io.write_tensor(src, np.ones(4))
         cases = [
             ["compress", "--input", str(src), "--output", "o.json", "--max-bond", "0"],
             ["compress", "--input", str(src), "--output", "o.json", "--tol", "-1"],
@@ -237,10 +237,46 @@ class TestCliContract:
         bad.write_text("{nope")
         missing = tmp_path / "missing.json"
         vec = tmp_path / "vec.json"
-        io.write_tensor(vec, np.ones(3), fmt="text")
+        io.write_tensor(vec, np.ones(3))
         qudo = tmp_path / "qudo.json"
         io.write_json(qudo, {"n": 2, "d": 2, "v": [[0, 0], [0, 0]], "w": [[[0, 0], [0, 0]]]})
+        mpo = tmp_path / "mpo.json"
+        io.write_train(mpo, identity_mpo([2] * 6))
+        matrix = tmp_path / "matrix.json"
+        io.write_tensor(matrix, np.ones((2, 3)))
+        # JSON true/false where numbers belong; numpy would read them as 1 and 0.
+        bool_dims = tmp_path / "bool_dims.json"
+        io.write_json(bool_dims, {"dims": [True, 2], "data": [1.0, 2.0]})
+        bool_data = tmp_path / "bool_data.json"
+        io.write_json(bool_data, {"dims": [2], "data": [True, False]})
+        bool_core = tmp_path / "bool_core.json"
+        io.write_json(bool_core, {"kind": "mps", "phys_dims": [2], "bond_dims": [],
+                                  "cores": [{"dims": [True, 2, 1], "data": [1.0, 2.0]}]})
+        bool_meta = tmp_path / "bool_meta.json"
+        io.write_json(bool_meta, {"kind": "mps", "phys_dims": [True, 2], "bond_dims": [True],
+                                  "cores": [{"dims": [1, 1, 1], "data": [1.0]},
+                                            {"dims": [1, 2, 1], "data": [1.0, 2.0]}]})
+        bool_problems = [
+            {"n": True, "d": 2, "v": [[0, 1]], "w": []},
+            {"n": 2, "d": 2, "v": [[0, True], [0, 0]], "w": [[[0, 0], [0, 0]]]},
+            {"n": 2, "d": 2, "v": [[0, 1], [0, 0]], "w": [[[0, 0], [False, 0]]]},
+            {"cost_matrix": [[0, True], [1, 0]], "variant": "closed"},
+        ]
         cases = [
+            ["compress", "--input", str(bool_dims), "--output", str(tmp_path / "x.json")],
+            ["compress", "--input", str(bool_data), "--output", str(tmp_path / "x.json")],
+            ["reconstruct", "--input", str(bool_core), "--output", str(tmp_path / "x.json")],
+            ["reconstruct", "--input", str(bool_meta), "--output", str(tmp_path / "x.json")],
+            ["kernel-apply", "--mpo", str(mpo), "--input-vector", str(matrix),
+             "--output", str(tmp_path / "x.json")],
+        ]
+        for i, obj in enumerate(bool_problems):
+            path = tmp_path / f"bool_problem{i}.json"
+            io.write_json(path, obj)
+            kind = "tsp" if "cost_matrix" in obj else "qudo"
+            cases.append([f"{kind}-solve", "--problem", str(path),
+                          "--output", str(tmp_path / "x.json")])
+        cases += [
             ["compress", "--input", str(bad), "--output", str(tmp_path / "x.json")],
             ["compress", "--input", str(missing), "--output", str(tmp_path / "x.json")],
             ["reconstruct", "--input", str(vec), "--output", str(tmp_path / "x.json")],
@@ -257,7 +293,7 @@ class TestCliContract:
 
     def test_numerical_and_capacity_exit_3(self, tmp_path):
         nan_t = tmp_path / "nan.json"
-        io.write_tensor(nan_t, np.array([np.nan, 1.0]), fmt="text")
+        io.write_tensor(nan_t, np.array([np.nan, 1.0]))
         big_train = tmp_path / "big.json"
         io.write_json(
             big_train,
@@ -289,7 +325,7 @@ class TestCliContract:
         # The parser is built once per process; repeated in-process calls
         # keep the exit codes of separate runs and share no flag values.
         src = tmp_path / "t.json"
-        io.write_tensor(src, np.ones(4), fmt="text")
+        io.write_tensor(src, np.ones(4))
         out = tmp_path / "o.json"
         assert cli.build_parser() is cli.build_parser()
         for _ in range(2):
@@ -335,8 +371,8 @@ class TestCliContract:
         rng = np.random.default_rng(94)
         mat = tmp_path / "mat.json"
         bias = tmp_path / "bias.json"
-        io.write_tensor(mat, np.eye(16), fmt="text")
-        io.write_tensor(bias, np.zeros(16), fmt="text")
+        io.write_tensor(mat, np.eye(16))
+        io.write_tensor(bias, np.zeros(16))
         layer_path = tmp_path / "layer.json"
         report = tmp_path / "rep.txt"
         r = run_cli(
@@ -352,7 +388,7 @@ class TestCliContract:
         io.write_json(mpo_path, layer["weights"])
         vec = tmp_path / "x.json"
         x = rng.normal(size=4)
-        io.write_tensor(vec, x, fmt="text")
+        io.write_tensor(vec, x)
         out = tmp_path / "out.json"
         r = run_cli(
             "kernel-apply", "--mpo", str(mpo_path), "--input-vector", str(vec),

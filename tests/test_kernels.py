@@ -66,6 +66,9 @@ class TestFeatureMap:
             bad(1.0)
         with pytest.raises(DimensionError):
             product_feature_map([1.0, 2.0], [product_kernel()])
+        # A matrix is not read as its flattened entries.
+        with pytest.raises(DimensionError):
+            product_feature_map(np.ones((2, 3)), [product_kernel()] * 6)
         # The same checks hold when the kernels run through the feature map.
         with pytest.raises(DimensionError):
             product_feature_map([1.0, 2.0, 3.0], [product_kernel(), bad, product_kernel()])

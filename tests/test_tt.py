@@ -345,7 +345,7 @@ class TestApplyMpo:
         state = random_train(rng, 6, 2, 3)
         raw = apply_mpo(op, state)
         assert raw.bond_dims == tuple(6 for _ in range(5))
-        rounded = apply_mpo(op, state, TruncationPolicy.truncated(max_bond=4))
+        rounded = tt_round(apply_mpo(op, state), TruncationPolicy.truncated(max_bond=4))
         assert all(b <= 4 for b in rounded.bond_dims)
 
     def test_matches_dense_matvec(self):
