@@ -10,7 +10,8 @@ of bond dimension ``d`` whose cores copy each site's value across the bond,
 which is exact.  Constraint layers (counter operators of bond ``k + 1``)
 zero out configurations that use a value more than its allowed count; with
 one layer per value this yields permutation-style non-repetition, the
-encoding used for route optimization.
+encoding used for route optimization.  A closed tour fixes its start at
+node 0, so only the other ``n - 1`` nodes take a site.
 
 Magnitudes are kept in range by factoring the largest entry out of each
 core into an accumulated log scale, so relative amplitudes are preserved
@@ -301,8 +302,7 @@ def apply_non_repetition(
         state, shift = _rescaled(apply_mpo(layer, state).cores)
         state, shift2 = _rescaled(tt_round(state, policy).cores)
         log_scale += shift + shift2
-    norm = tt_norm(state)
-    if not np.isfinite(norm) or norm == 0.0:
+    if tt_norm(state) == 0.0:
         raise InfeasibilityError("constraint layers eliminated every configuration")
     return AmplitudeState(state, log_scale)
 
@@ -351,7 +351,7 @@ def readout_greedy(s: AmplitudeState) -> tuple[int, ...]:
     return tuple(config)
 
 
-def _solve(problem: QudoProblem, cfg: IteConfig, constrain=None) -> Solution:
+def _solve(problem: QudoProblem, cfg: IteConfig, constrain=None) -> tuple[tuple[int, ...], str]:
     # Exact readout densifies all d**n amplitudes, so an oversized problem is
     # refused before any state is built.
     if cfg.readout == "exact" and problem.d**problem.n > cfg.dense_cap:
@@ -362,10 +362,8 @@ def _solve(problem: QudoProblem, cfg: IteConfig, constrain=None) -> Solution:
     if constrain is not None:
         state = constrain(state)
     if cfg.readout == "exact":
-        config, method = readout_exact(state, cfg.dense_cap), "ite-exact"
-    else:
-        config, method = readout_greedy(state), "ite-greedy"
-    return Solution(config, problem.cost(config), method)
+        return readout_exact(state, cfg.dense_cap), "ite-exact"
+    return readout_greedy(state), "ite-greedy"
 
 
 def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
@@ -374,7 +372,8 @@ def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
     Exact readout raises :class:`CapacityError` when ``d**n`` exceeds
     ``cfg.dense_cap``.
     """
-    return _solve(problem, cfg)
+    config, method = _solve(problem, cfg)
+    return Solution(config, problem.cost(config), method)
 
 
 def _tsp_costs(costs, variant: str) -> np.ndarray:
@@ -391,51 +390,52 @@ def _tsp_costs(costs, variant: str) -> np.ndarray:
     return costs
 
 
+def _tour_cost(costs: np.ndarray, tour: Sequence[int], variant: str) -> float:
+    # Legs in tour order, then a closed tour's return leg.  Solver and oracle
+    # both sum here, so their costs for one tour agree bit for bit.
+    total = sum(float(costs[a, b]) for a, b in zip(tour, tour[1:]))
+    if variant == "closed":
+        total += float(costs[tour[-1], tour[0]])
+    return total
+
+
 def _tsp_problem(costs: np.ndarray, variant: str) -> QudoProblem:
-    costs = _tsp_costs(costs, variant)
-    d = costs.shape[0]
+    # A closed tour starts at node 0, which needs no site: site i holds the
+    # node of step i + 1 (value x is node x + 1), and the first and return
+    # legs become local costs of the first and last sites.
+    legs = costs if variant == "open" else costs[1:, 1:]
+    d = legs.shape[0]
     local = [np.zeros(d) for _ in range(d)]
     if variant == "closed":
-        # Fixed start at node 0; the return leg becomes a local cost on the
-        # last step.
-        local[-1] = costs[:, 0].copy()
-    return QudoProblem(tuple(local), tuple(costs.copy() for _ in range(d - 1)))
-
-
-def _project_site(s: AmplitudeState, site: int, value: int) -> AmplitudeState:
-    cores = [np.asarray(c).copy() for c in s.state.cores]
-    mask = np.zeros(cores[site].shape[1])
-    mask[value] = 1.0
-    cores[site] = cores[site] * mask[None, :, None]
-    state, shift = _rescaled(cores)
-    return AmplitudeState(state, s.log_scale + shift)
+        local[0] = costs[0, 1:]
+        local[-1] = costs[1:, 0]
+    return QudoProblem(tuple(local), (legs,) * (d - 1))
 
 
 def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteConfig()) -> Solution:
     """Route optimization as a chain problem with non-repetition layers.
 
-    Site ``i`` holds the node visited at step ``i``; couplings are the leg
-    costs.  The closed variant fixes the start at node 0 (every closed tour
-    has such a rotation) and folds the return leg into the last site's local
-    cost; the open variant leaves start and end free.  A truncating policy
-    can make the readout repeat a node; such a configuration, or a closed
-    one that does not start at node 0, raises :class:`InfeasibilityError`
-    instead of being returned as a tour.
+    Site ``i`` holds the node visited at step ``i`` and the couplings are
+    the leg costs.  A closed tour starts at node 0 (every closed tour has
+    such a rotation), so its sites are steps 1 to ``n - 1`` over nodes 1 to
+    ``n - 1``, and its first and return legs are local costs of the first
+    and last sites; exact readout then densifies ``(n - 1)**(n - 1)``
+    amplitudes.  A closed two-node tour is forced and returned without a
+    solve.  A truncating policy can make the readout repeat a node; such a
+    configuration raises :class:`InfeasibilityError` instead of being
+    returned as a tour.
     """
-    problem = _tsp_problem(costs, variant)
-
-    def constrain(state: AmplitudeState) -> AmplitudeState:
-        if variant == "closed":
-            state = _project_site(state, 0, 0)
-        return apply_non_repetition(state, cfg.policy)
-
-    sol = _solve(problem, cfg, constrain)
-    tour = sol.configuration
-    if sorted(tour) != list(range(len(tour))):
+    costs = _tsp_costs(costs, variant)
+    n = costs.shape[0]
+    if variant == "closed" and n == 2:
+        config, method = (0,), f"ite-{cfg.readout}"
+    else:
+        problem = _tsp_problem(costs, variant)
+        config, method = _solve(problem, cfg, lambda s: apply_non_repetition(s, cfg.policy))
+    tour = config if variant == "open" else (0,) + tuple(x + 1 for x in config)
+    if sorted(tour) != list(range(n)):
         raise InfeasibilityError(f"readout {list(tour)} is not a tour")
-    if variant == "closed" and tour[0] != 0:
-        raise InfeasibilityError(f"closed tour {list(tour)} does not start at node 0")
-    return sol
+    return Solution(tour, _tour_cost(costs, tour, variant), method)
 
 
 def brute_force_qudo(problem: QudoProblem) -> Solution:
@@ -471,9 +471,7 @@ def brute_force_tsp(costs: np.ndarray, variant: str = "closed") -> Solution:
         tours = permutations(range(d))
     best = None
     for tour in tours:
-        c = sum(float(costs[tour[i], tour[i + 1]]) for i in range(d - 1))
-        if variant == "closed":
-            c += float(costs[tour[-1], 0])
+        c = _tour_cost(costs, tour, variant)
         if best is None or c < best[0]:
             best = (c, tour)
     return Solution(best[1], best[0], "oracle")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import prod
+from math import inf, ldexp, prod, sqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -374,22 +374,57 @@ def tt_round(
     return (train, weights) if return_weights else train
 
 
-def tt_inner(a: TensorTrain, b: TensorTrain) -> float:
-    """Dot product of the tensors two trains represent, via transfer contraction."""
+def _split_peak(x: np.ndarray) -> tuple[np.ndarray, int]:
+    # x = m * 2**e with the peak of |m| in [0.5, 1); exact, a power of two.
+    _, e = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -e), int(e)
+
+
+def _inner_exponent(a: TensorTrain, b: TensorTrain) -> tuple[float, int]:
+    # <a, b> as mantissa * 2**exponent.  Every core and the environment after
+    # every site shed their peak's power of two into the exponent, so no
+    # partial product overflows or underflows however the scale is spread.
     if a.phys_dims != b.phys_dims:
         raise DimensionError(
             f"physical dimensions differ: {a.phys_dims} vs {b.phys_dims}"
         )
     env = np.ones((1, 1))
+    exponent = 0
     for ca, cb in zip(a.cores, b.cores):
+        (ca, ea), (cb, eb) = _split_peak(ca), _split_peak(cb)
         tmp = np.tensordot(env, ca, axes=([0], [0]))  # (lb, d, ra)
-        env = np.tensordot(tmp, cb, axes=([0, 1], [0, 1]))  # (ra, rb)
-    return float(env[0, 0])
+        env, e = _split_peak(np.tensordot(tmp, cb, axes=([0, 1], [0, 1])))  # (ra, rb)
+        exponent += ea + eb + e
+    return float(env[0, 0]), exponent
+
+
+def _ldexp_in_range(mantissa: float, exponent: int) -> float:
+    try:
+        value = ldexp(mantissa, exponent)
+    except OverflowError:
+        value = inf
+    if mantissa != 0.0 and not 0.0 < abs(value) < inf:
+        raise NumericalError(f"{mantissa} * 2**{exponent} is outside float64 range")
+    return value
+
+
+def tt_inner(a: TensorTrain, b: TensorTrain) -> float:
+    """Dot product of the tensors two trains represent, via transfer contraction.
+
+    Raises :class:`NumericalError` when the result is outside float64 range.
+    """
+    return _ldexp_in_range(*_inner_exponent(a, b))
 
 
 def tt_norm(tt: TensorTrain) -> float:
-    """Frobenius norm of the represented tensor."""
-    return float(np.sqrt(max(tt_inner(tt, tt), 0.0)))
+    """Frobenius norm of the represented tensor.
+
+    Raises :class:`NumericalError` when the norm is outside float64 range.
+    """
+    mantissa, exponent = _inner_exponent(tt, tt)
+    if exponent % 2:
+        mantissa, exponent = 2.0 * mantissa, exponent - 1
+    return _ldexp_in_range(sqrt(max(mantissa, 0.0)), exponent // 2)
 
 
 def tt_scale(tt: TensorTrain, factor: float) -> TensorTrain:

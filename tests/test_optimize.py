@@ -314,6 +314,27 @@ class TestSolveTsp:
             sol = solve_tsp(costs, variant)
             assert sol.configuration == (0, 1)
 
+    def test_two_node_closed_tour_is_forced(self):
+        # One site with one value would be left; the only tour is returned
+        # without a solve, with the oracle's cost.
+        costs = np.array([[0.0, 1.5], [4.0, 0.0]])
+        want = brute_force_tsp(costs, "closed")
+        for readout in ("exact", "greedy"):
+            sol = solve_tsp(costs, "closed", IteConfig(readout=readout))
+            assert sol.configuration == want.configuration == (0, 1)
+            assert sol.cost == want.cost == 5.5
+
+    @pytest.mark.parametrize("nodes", range(3, 9))
+    def test_closed_tour_matches_oracle_exactly(self, nodes):
+        # The start takes no site, so 8 nodes densify 7^7 and fit the cap.
+        # Solver and oracle sum the same legs in the same order.
+        for seed in range(2):
+            costs = np.random.default_rng(100 * nodes + seed).uniform(1.0, 2.0, (nodes, nodes))
+            sol = solve_tsp(costs, "closed")
+            want = brute_force_tsp(costs, "closed")
+            assert sol.configuration == want.configuration
+            assert sol.cost == want.cost
+
     def test_all_equal_costs(self):
         d = 4
         costs = np.full((d, d), 2.5)

@@ -299,6 +299,26 @@ class TestInnerNorm:
         want = float(np.dot(tt_to_dense(a).ravel(), tt_to_dense(b).ravel()))
         assert tt_inner(a, b) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_scale_spread_over_sites(self):
+        # The true norm is 2^20 however the peaks are ordered; no partial
+        # product may overflow or underflow on the way.
+        cores = [np.full((1, 2, 1), 1e10)] * 20 + [np.full((1, 2, 1), 1e-10)] * 20
+        for train in (TensorTrain(cores), TensorTrain(cores[::-1])):
+            assert tt_norm(train) == pytest.approx(2.0**20, rel=1e-12)
+            assert tt_inner(train, train) == pytest.approx(2.0**40, rel=1e-12)
+        # Within one site too: 1e200 squared overflows before 1e-200 cancels it.
+        train = TensorTrain([np.full((1, 2, 1), 1e200), np.full((1, 2, 1), 1e-200)])
+        assert tt_norm(train) == pytest.approx(2.0, rel=1e-12)
+
+    def test_result_outside_float64_range_raises(self):
+        for value in (10.0, 0.1):
+            train = TensorTrain([np.full((1, 2, 1), value)] * 400)
+            with pytest.raises(NumericalError):
+                tt_norm(train)
+            with pytest.raises(NumericalError):
+                tt_inner(train, train)
+
     def test_dim_mismatch(self):
         rng = np.random.default_rng(25)
         with pytest.raises(DimensionError):

@@ -1,5 +1,5 @@
-"""Property tests of densification, operator application and the SVD sign fix
-against plain references."""
+"""Property tests of densification, decomposition, rounding, addition,
+operator application and the SVD sign fix against plain references."""
 
 from math import prod
 
@@ -13,10 +13,14 @@ from ttkit.kernels import ProductState, apply_mpo_to_product
 from ttkit.tt import (
     TensorTrain,
     TensorTrainOperator,
+    TruncationPolicy,
     _fix_signs,
     apply_mpo,
     mpo_to_dense,
     mpo_to_matrix,
+    tt_add,
+    tt_round,
+    tt_svd,
     tt_to_dense,
 )
 
@@ -125,6 +129,89 @@ class TestDensifyOracle:
         with pytest.raises(CapacityError):
             mpo_to_dense(op, max_elements=total - 1)
         assert mpo_to_dense(op, max_elements=total).size == total
+
+
+@st.composite
+def policies(draw):
+    """The exact policy, a bond cap, a tolerance, or both."""
+    max_bond = draw(st.one_of(st.none(), st.integers(1, 3)))
+    return TruncationPolicy(max_bond=max_bond, sv_tolerance=draw(st.sampled_from([0.0, 0.1])))
+
+
+@st.composite
+def dense_tensors(draw):
+    """Sparse tensors of 1-5 sites with size-1 legs allowed; zero included."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=dims) * (rng.random(dims) < draw(st.floats(0.0, 1.0)))
+
+
+def seeded_tensor(seed, dims):
+    return np.random.default_rng(seed).normal(size=dims)
+
+
+def assert_error_is_discarded_weight(got, want, weights, scale2):
+    # Each link discards a part orthogonal to everything later links keep,
+    # so the squared error is the sum of the discarded weights.
+    err2 = float(np.sum((got - want) ** 2))
+    assert abs(err2 - sum(weights)) <= 1e-12 * scale2
+
+
+class TestTrainOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dense_tensors(), policies())
+    @example(seeded_tensor(20, (5,)), TruncationPolicy())
+    @example(seeded_tensor(21, (1, 3, 1, 2)), TruncationPolicy(max_bond=1))
+    @example(np.einsum("i,j,k->ijk", *(seeded_tensor(22 + k, (3,)) for k in range(3))),
+             TruncationPolicy())
+    @example(np.zeros((2, 3)), TruncationPolicy())
+    def test_tt_svd_matches_einsum(self, tensor, policy):
+        train, weights = tt_svd(tensor, policy, return_weights=True)
+        got = einsum_train_dense(train.cores)
+        norm2 = float(np.sum(tensor**2))
+        assert_error_is_discarded_weight(got, tensor, weights, norm2)
+        if policy == TruncationPolicy():
+            assert np.max(np.abs(got - tensor)) <= 1e-12 * np.sqrt(norm2)
+        if policy.max_bond is not None:
+            assert max(train.bond_dims, default=1) <= policy.max_bond
+        for core in train.cores[:-1]:
+            u = core.reshape(-1, core.shape[2])
+            assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(chains(legs=1, max_sites=6, max_dim=3), policies())
+    @example(seeded_chain(23, [(4,)], []), TruncationPolicy(max_bond=1))
+    @example(seeded_chain(24, [(1,), (3,), (1,), (2,)], [2, 1, 3]), TruncationPolicy())
+    @example(seeded_chain(25, [(2,)] * 5, [1] * 4), TruncationPolicy(max_bond=1))
+    @example(seeded_chain(26, [(2,)] * 4, [3, 40, 3]), TruncationPolicy(max_bond=2))
+    def test_tt_round_matches_einsum(self, cores, policy):
+        rounded, weights = tt_round(TensorTrain(cores), policy, return_weights=True)
+        got, want = einsum_train_dense(rounded.cores), einsum_train_dense(cores)
+        assert_error_is_discarded_weight(got, want, weights, float(np.sum(want**2)))
+        if policy == TruncationPolicy():
+            assert_contracts_to(got, want, cores)
+        if policy.max_bond is not None:
+            assert max(rounded.bond_dims, default=1) <= policy.max_bond
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 4), min_size=n, max_size=n),
+        st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1),
+        st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1),
+        st.integers(0, 2**32 - 2),
+    )))
+    @example(([3], [], [], 27))
+    @example(([1, 2, 1], [1, 1], [2, 1], 28))
+    @example(([2] * 5, [1] * 4, [1] * 4, 29))
+    def test_tt_add_matches_einsum(self, case):
+        dims, a_bonds, b_bonds, seed = case
+        a = seeded_chain(seed, [(d,) for d in dims], a_bonds)
+        b = seeded_chain(seed + 1, [(d,) for d in dims], b_bonds)
+        got = tt_add(TensorTrain(a), TensorTrain(b))
+        assert got.bond_dims == tuple(x + y for x, y in zip(a_bonds, b_bonds))
+        want = einsum_train_dense(a) + einsum_train_dense(b)
+        scale = prod(np.linalg.norm(c) for c in a) + prod(np.linalg.norm(c) for c in b)
+        assert np.max(np.abs(einsum_train_dense(got.cores) - want)) <= 1e-12 * scale
 
 
 def seeded_pair(seed, ins, outs, op_bonds, state_bonds):
