@@ -92,7 +92,6 @@ def _report_lines(report) -> str:
         f"compressed_params = {report.compressed_params}",
         f"ratio = {report.ratio!r}",
         f"relative_error = {report.relative_error!r}",
-        f"error_is_bound = {report.error_is_bound}",
         f"error_bound = {report.error_bound!r}",
         "link_discarded_weights = "
         + ", ".join(repr(w) for w in report.link_discarded_weights),

@@ -16,6 +16,7 @@ All read paths validate against the in-memory invariants and raise
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def tensor_from_obj(obj) -> np.ndarray:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
     ):
         raise FormatError("data must be a list of numbers")
-    expected = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    expected = math.prod(dims)
     if len(data) != expected:
         raise FormatError(f"dims {dims} require {expected} values, got {len(data)}")
     return np.asarray(data, dtype=np.float64).reshape(dims)
@@ -104,7 +105,7 @@ def _read_tensor_binary(raw: bytes, path: Path) -> np.ndarray:
     offset += 8 * rank
     if any(d < 1 for d in dims):
         raise FormatError(f"{path}: invalid dims {dims}")
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    count = math.prod(dims)
     if len(raw) != offset + 8 * count:
         raise FormatError(
             f"{path}: expected {8 * count} data bytes, found {len(raw) - offset}"

@@ -8,6 +8,9 @@ the pairing.  A compressed layer evaluates the stored ``A' x + c'``
 exactly: the input vector is split into an exact train, the operator's
 cores are merged with it site by site and contracted straight to a dense
 vector, and the densified bias is added.  The output is not rounded again.
+A compression report reads its error from the SVD sweep's discarded
+weights, which sum to the squared Frobenius error; nothing is densified to
+measure it.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ import numpy as np
 from .dense import GroupingPlan, as_tensor, group_indexes, split_index
 from .errors import DimensionError
 from .tt import (
-    DENSE_CAP_DEFAULT,
     TensorTrain,
     TensorTrainOperator,
     TruncationPolicy,
     _apply_cores,
     _contract_chain,
-    mpo_to_matrix,
     tt_svd,
     tt_to_dense,
 )
@@ -111,7 +112,6 @@ class CompressionReport:
     compressed_params: int
     relative_error: float
     link_discarded_weights: tuple[float, ...]
-    error_is_bound: bool = False
 
     @property
     def ratio(self) -> float:
@@ -119,6 +119,7 @@ class CompressionReport:
 
     @property
     def error_bound(self) -> float:
+        """Absolute Frobenius error: the root of the summed discarded weights."""
         return sqrt(sum(self.link_discarded_weights))
 
 
@@ -127,17 +128,13 @@ def _report(
     compressed_params: int,
     link_weights: Sequence[float],
     ref_norm_sq: float,
-    err: float | None,
 ) -> CompressionReport:
-    # ``err`` is the Frobenius error measured by densification, or None when
-    # the dense form is over the cap and the discarded-weight bound stands in.
-    is_bound = err is None
-    if is_bound:
-        err = sqrt(sum(link_weights))
+    # Each link of the left-to-right sweep discards a part orthogonal to
+    # everything later links keep, so the discarded weights sum to the
+    # squared Frobenius error.
+    err = sqrt(sum(link_weights))
     relative = err / sqrt(ref_norm_sq) if ref_norm_sq > 0 else 0.0
-    return CompressionReport(
-        dense_params, compressed_params, relative, tuple(link_weights), is_bound
-    )
+    return CompressionReport(dense_params, compressed_params, relative, tuple(link_weights))
 
 
 @dataclass(frozen=True)
@@ -217,11 +214,11 @@ def compress_layer(
     """Compress the weights and bias of a dense layer ``v = A x + c``.
 
     The report counts the dense layer's ``N (M + 1)`` parameters against the
-    elements actually stored, and measures the combined relative Frobenius
-    error ``sqrt(|A - A'|^2 + |c - c'|^2) / sqrt(|A|^2 + |c|^2)`` by
-    densification when the layer has at most ``DENSE_CAP_DEFAULT`` elements;
-    otherwise the discarded-weight bound is reported instead.  A bias that is
-    not a vector of ``plan.n_rows`` entries raises :class:`DimensionError`.
+    elements actually stored, and gives the combined relative Frobenius error
+    ``sqrt(|A - A'|^2 + |c - c'|^2) / sqrt(|A|^2 + |c|^2)``, which equals the
+    square root of the summed discarded weights of both sweeps over the
+    reference norm, at any size.  A bias that is not a vector of
+    ``plan.n_rows`` entries raises :class:`DimensionError`.
     """
     a = as_tensor(a)
     c = as_tensor(c)
@@ -232,17 +229,11 @@ def compress_layer(
     weights_op, w_dw = matrix_to_mpo(a, plan, policy, return_weights=True)
     bias_tt, b_dw = vector_to_mps(c, plan.row_factors, policy, return_weights=True)
     layer = CompressedLayer(weights_op, bias_tt, plan, policy)
-    err = None
-    if a.size + c.size <= DENSE_CAP_DEFAULT:
-        a_err = float(np.sum((mpo_to_matrix(weights_op) - a) ** 2))
-        c_err = float(np.sum((tt_to_dense(bias_tt).reshape(-1) - c) ** 2))
-        err = sqrt(a_err + c_err)
     report = _report(
         plan.n_rows * (plan.n_cols + 1),
         weights_op.param_count() + bias_tt.param_count(),
         w_dw + b_dw,
         float(np.sum(a**2) + np.sum(c**2)),
-        err,
     )
     return layer, report
 
@@ -276,6 +267,8 @@ def compress_dataset(
 
     The report's ratio is stored elements over dense elements; it is
     reported truthfully even when it exceeds 1 (no compression without loss).
+    Its relative error ``|T - T'| / |T|`` is the square root of the summed
+    discarded weights over ``|T|``, at any size.
     """
     t = as_tensor(t)
     dims = tuple(int(d) for d in factor_dims)
@@ -284,8 +277,5 @@ def compress_dataset(
             f"factor dims {dims} do not cover {t.size} elements"
         )
     train, dw = tt_svd(t.reshape(dims), policy, return_weights=True)
-    err = None
-    if t.size <= DENSE_CAP_DEFAULT:
-        err = float(np.linalg.norm(tt_to_dense(train).reshape(-1) - t.reshape(-1)))
-    report = _report(t.size, train.param_count(), dw, float(np.sum(t**2)), err)
+    report = _report(t.size, train.param_count(), dw, float(np.sum(t**2)))
     return train, report

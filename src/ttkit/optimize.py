@@ -310,7 +310,9 @@ def apply_non_repetition(
 def readout_exact(s: AmplitudeState, max_elements: int = DENSE_CAP_DEFAULT) -> tuple[int, ...]:
     """Configuration with the largest amplitude magnitude, by densified argmax.
 
-    Ties break to the lexicographically smallest configuration.
+    Equal magnitudes go to the lexicographically smallest configuration, but
+    equal costs need not give bit-equal amplitudes, each rounded on its own
+    path: on cost ties this is *an* optimal one, not necessarily the oracle's.
     """
     amp = s.dense_amplitudes(max_elements)
     np.abs(amp, out=amp)
@@ -369,8 +371,9 @@ def _solve(problem: QudoProblem, cfg: IteConfig, constrain=None) -> tuple[tuple[
 def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
     """Damp, read out, and recompute the cost of the winning configuration.
 
-    Exact readout raises :class:`CapacityError` when ``d**n`` exceeds
-    ``cfg.dense_cap``.
+    Exact readout returns an optimal configuration; on cost ties it need not
+    be the one :func:`brute_force_qudo` returns.  It raises
+    :class:`CapacityError` when ``d**n`` exceeds ``cfg.dense_cap``.
     """
     config, method = _solve(problem, cfg)
     return Solution(config, problem.cost(config), method)
@@ -421,9 +424,10 @@ def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteCo
     ``n - 1``, and its first and return legs are local costs of the first
     and last sites; exact readout then densifies ``(n - 1)**(n - 1)``
     amplitudes.  A closed two-node tour is forced and returned without a
-    solve.  A truncating policy can make the readout repeat a node; such a
-    configuration raises :class:`InfeasibilityError` instead of being
-    returned as a tour.
+    solve.  Exact readout returns an optimal tour; on cost ties it need not
+    be the one :func:`brute_force_tsp` returns.  A truncating policy can
+    make the readout repeat a node; such a configuration raises
+    :class:`InfeasibilityError` instead of being returned as a tour.
     """
     costs = _tsp_costs(costs, variant)
     n = costs.shape[0]
@@ -439,7 +443,7 @@ def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteCo
 
 
 def brute_force_qudo(problem: QudoProblem) -> Solution:
-    """Exhaustive minimum with the same lexicographic tie-break as exact readout."""
+    """Exhaustive minimum; cost ties go to the lexicographically smallest."""
     n, d = problem.n, problem.d
     total = d**n
     if total > BRUTE_FORCE_CAP:

@@ -249,9 +249,9 @@ def tt_svd(
 
     All cores except the last are left-orthogonal.  With an exact policy the
     train reproduces the input to float64 accuracy; with a truncated policy
-    the reconstruction error is at most ``sqrt(sum(weights))`` where
-    ``weights`` are the per-link discarded weights (returned when
-    ``return_weights`` is set).
+    the Frobenius error equals ``sqrt(sum(weights))`` of the per-link
+    discarded weights (returned when ``return_weights`` is set), since what
+    each link discards is orthogonal to everything later links keep.
     """
     t = as_tensor(tensor)
     if t.ndim < 1:
@@ -340,8 +340,9 @@ def tt_round(
     """Re-truncate an existing train to (possibly) smaller bond dimensions.
 
     Right-to-left orthogonalization sweep followed by a left-to-right
-    truncation sweep; the same error bound as :func:`tt_svd` applies to the
-    returned per-link discarded weights.
+    truncation sweep; as for :func:`tt_svd`, the Frobenius distance to the
+    input train equals the square root of the summed per-link discarded
+    weights.
     """
     cores = [np.asarray(c, dtype=np.float64) for c in tt.cores]
     for c in cores:

@@ -256,6 +256,11 @@ class TestCliContract:
         io.write_json(bool_meta, {"kind": "mps", "phys_dims": [True, 2], "bond_dims": [True],
                                   "cores": [{"dims": [1, 1, 1], "data": [1.0]},
                                             {"dims": [1, 2, 1], "data": [1.0, 2.0]}]})
+        # Dims whose element count wraps around in int64 arithmetic.
+        huge_json = tmp_path / "huge.json"
+        io.write_json(huge_json, {"dims": [2**32, 2**32], "data": []})
+        huge_bin = tmp_path / "huge.ttk"
+        huge_bin.write_bytes(io.MAGIC + bytes([io.VERSION]) + struct.pack("<I2Q", 2, 2**32, 2**32))
         bool_problems = [
             {"n": True, "d": 2, "v": [[0, 1]], "w": []},
             {"n": 2, "d": 2, "v": [[0, True], [0, 0]], "w": [[[0, 0], [0, 0]]]},
@@ -277,6 +282,8 @@ class TestCliContract:
             cases.append([f"{kind}-solve", "--problem", str(path),
                           "--output", str(tmp_path / "x.json")])
         cases += [
+            ["compress", "--input", str(huge_json), "--output", str(tmp_path / "x.json")],
+            ["compress", "--input", str(huge_bin), "--output", str(tmp_path / "x.json")],
             ["compress", "--input", str(bad), "--output", str(tmp_path / "x.json")],
             ["compress", "--input", str(missing), "--output", str(tmp_path / "x.json")],
             ["reconstruct", "--input", str(vec), "--output", str(tmp_path / "x.json")],
@@ -290,6 +297,7 @@ class TestCliContract:
         for args in cases:
             r = run_cli(*args)
             assert r.returncode == 2, (args, r.returncode, r.stderr)
+            assert "Traceback" not in r.stderr, (args, r.stderr)
 
     def test_numerical_and_capacity_exit_3(self, tmp_path):
         nan_t = tmp_path / "nan.json"

@@ -150,7 +150,6 @@ class TestCompressLayer:
             / (np.sum(a**2) + np.sum(c**2))
         )
         assert report.relative_error == pytest.approx(want, abs=1e-12)
-        assert not report.error_is_bound
 
     def test_error_monotone_in_bond(self):
         rng = np.random.default_rng(45)
