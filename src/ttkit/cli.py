@@ -15,6 +15,8 @@ import json
 import sys
 from functools import cache
 
+import numpy as np
+
 from . import io
 from .errors import (
     CapacityError,
@@ -105,6 +107,15 @@ def _write_report(path, report) -> None:
             fh.write(_report_lines(report))
 
 
+def _write_result(path, result: np.ndarray) -> None:
+    # Output files hold finite numbers only: a result that overflowed, or
+    # that carried a NaN or an infinity over from its input, is a numerical
+    # failure, and no file is written.
+    if not np.isfinite(result).all():
+        raise NumericalError("the result holds values that are not finite")
+    io.write_tensor(path, result)
+
+
 def _solution_obj(sol: Solution) -> dict:
     return {
         "configuration": list(sol.configuration),
@@ -142,7 +153,7 @@ def _cmd_reconstruct(parser: _Parser, args) -> int:
         dense = mpo_to_dense(train, args.dense_cap)
     else:
         dense = tt_to_dense(train, args.dense_cap)
-    io.write_tensor(args.output, dense)
+    _write_result(args.output, dense)
     return 0
 
 
@@ -179,7 +190,7 @@ def _cmd_kernel_apply(parser: _Parser, args) -> int:
     kernel = SITE_KERNELS[args.site_kernel]()
     features = product_feature_map(x, [kernel] * x.size)
     result = apply_mpo_to_product(train, features)
-    io.write_tensor(args.output, result)
+    _write_result(args.output, result)
     return 0
 
 
@@ -188,7 +199,6 @@ def _solver_config(parser: _Parser, args) -> IteConfig:
         parser,
         IteConfig,
         tau=args.tau,
-        policy=_policy_from_flags(parser, args),
         readout=args.readout,
         dense_cap=args.dense_cap,
     )
@@ -209,8 +219,9 @@ def _cmd_qudo_solve(parser: _Parser, args) -> int:
 
 def _cmd_tsp_solve(parser: _Parser, args) -> int:
     cfg = _solver_config(parser, args)
+    policy = _policy_from_flags(parser, args)
     costs, variant = _read_problem(args.problem, "tsp")
-    _emit_solution(args, solve_tsp(costs, variant, cfg))
+    _emit_solution(args, solve_tsp(costs, variant, cfg, policy=policy))
     return 0
 
 
@@ -272,9 +283,12 @@ def build_parser() -> _Parser:
         p.add_argument("--output")
         p.add_argument("--tau", type=float)
         p.add_argument("--readout", choices=("exact", "greedy"), default="exact")
-        p.add_argument("--max-bond", type=int)
-        p.add_argument("--tol", type=float, default=0.0)
         p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
+        if name == "tsp-solve":
+            # Only the routing solver rounds (after each counter layer); the
+            # chain QUDO state is exact at bond d and never rounded.
+            p.add_argument("--max-bond", type=int)
+            p.add_argument("--tol", type=float, default=0.0)
         p.set_defaults(func=func)
 
     p = sub.add_parser("oracle", help="brute-force reference answer for a problem file")

@@ -167,6 +167,8 @@ def train_from_obj(obj) -> TensorTrain | TensorTrainOperator:
     kind = obj["kind"]
     if kind not in ("mps", "mpo"):
         raise FormatError(f"unknown train kind {kind!r}")
+    if not isinstance(obj["cores"], list):
+        raise FormatError("train cores must be a list of tensor objects")
     cores = [tensor_from_obj(c) for c in obj["cores"]]
     try:
         train = TensorTrain(cores) if kind == "mps" else TensorTrainOperator(cores)

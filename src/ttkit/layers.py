@@ -16,13 +16,13 @@ measure it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import isfinite, prod, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .dense import GroupingPlan, as_tensor, group_indexes, split_index
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 from .tt import (
     TensorTrain,
     TensorTrainOperator,
@@ -131,7 +131,10 @@ def _report(
 ) -> CompressionReport:
     # Each link of the left-to-right sweep discards a part orthogonal to
     # everything later links keep, so the discarded weights sum to the
-    # squared Frobenius error.
+    # squared Frobenius error.  Entries past about 1e154 overflow those
+    # squares, and then no error can be reported.
+    if not (isfinite(sum(link_weights)) and isfinite(ref_norm_sq)):
+        raise NumericalError("squared norms overflow float64, so the error cannot be reported")
     err = sqrt(sum(link_weights))
     relative = err / sqrt(ref_norm_sq) if ref_norm_sq > 0 else 0.0
     return CompressionReport(dense_params, compressed_params, relative, tuple(link_weights))
@@ -139,12 +142,14 @@ def _report(
 
 @dataclass(frozen=True)
 class CompressedLayer:
-    """Train-form weights and bias of a dense layer, plus the plan that built them."""
+    """Train-form weights and bias of a dense layer.
+
+    The weights' input and output dims are the plan's column and row
+    factors; the bias is a train over the output dims.
+    """
 
     weights: TensorTrainOperator
     bias: TensorTrain
-    plan: ShapePlan
-    policy: TruncationPolicy
 
     def __post_init__(self):
         if self.weights.out_dims != self.bias.phys_dims:
@@ -152,10 +157,6 @@ class CompressedLayer:
                 f"weight outputs {self.weights.out_dims} do not match "
                 f"bias dimensions {self.bias.phys_dims}"
             )
-        if self.weights.out_dims != self.plan.row_factors:
-            raise DimensionError("weights do not follow the plan's row factors")
-        if self.weights.in_dims != self.plan.col_factors:
-            raise DimensionError("weights do not follow the plan's column factors")
 
 
 def matrix_to_mpo(
@@ -228,7 +229,7 @@ def compress_layer(
         )
     weights_op, w_dw = matrix_to_mpo(a, plan, policy, return_weights=True)
     bias_tt, b_dw = vector_to_mps(c, plan.row_factors, policy, return_weights=True)
-    layer = CompressedLayer(weights_op, bias_tt, plan, policy)
+    layer = CompressedLayer(weights_op, bias_tt)
     report = _report(
         plan.n_rows * (plan.n_cols + 1),
         weights_op.param_count() + bias_tt.param_count(),
@@ -249,11 +250,12 @@ def apply_compressed_layer(
     bias is added, with no rounding.
     """
     x = as_tensor(x)
-    if x.shape != (layer.plan.n_cols,):
+    in_dims = layer.weights.in_dims
+    if x.shape != (prod(in_dims),):
         raise DimensionError(
-            f"input must have length {layer.plan.n_cols}, got shape {x.shape}"
+            f"input must have length {prod(in_dims)}, got shape {x.shape}"
         )
-    x_tt = vector_to_mps(x, layer.plan.col_factors, TruncationPolicy.exact())
+    x_tt = vector_to_mps(x, in_dims, TruncationPolicy.exact())
     y = _contract_chain(list(_apply_cores(layer.weights, x_tt)))
     return y + tt_to_dense(layer.bias).reshape(-1)
 

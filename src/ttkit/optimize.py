@@ -20,9 +20,9 @@ without overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
-from math import log
+from math import isfinite, log
 from typing import Sequence
 
 import numpy as np
@@ -122,22 +122,28 @@ class QudoProblem:
         return total
 
     def spread(self) -> float:
-        """Sum of per-table cost ranges; an upper bound on max - min cost."""
-        ranges = [float(np.ptp(t)) for t in self.local + self.coupling]
-        return sum(ranges)
+        """Sum of per-table cost ranges; an upper bound on max - min cost.
+
+        Summed in Python floats, so a range past float64 is ``inf`` without
+        a warning.
+        """
+        return sum(float(t.max()) - float(t.min()) for t in self.local + self.coupling)
 
 
 @dataclass(frozen=True)
 class IteConfig:
-    """Damping strength, rounding policy, and readout mode for the solver.
+    """Damping strength, readout mode, and dense-readout cap for the solver.
 
     ``tau=None`` picks the default damping: the problem's cost spread is
     normalized to one and ``tau=10`` applied, which keeps amplitudes well
-    inside float64 range without affecting the exact-readout argmax.
+    inside float64 range without affecting the exact-readout argmax.  A
+    spread that overflows float64 raises :class:`NumericalError`.  The
+    damped state of a chain problem is exact at bond ``d`` and never
+    rounded, so no truncation policy belongs here; :func:`solve_tsp` takes
+    one for its constraint layers.
     """
 
     tau: float | None = None
-    policy: TruncationPolicy = field(default_factory=TruncationPolicy.exact)
     readout: str = "exact"
     dense_cap: int = DENSE_CAP_DEFAULT
 
@@ -153,12 +159,18 @@ class IteConfig:
         if self.tau is not None:
             return self.tau
         spread = problem.spread()
+        if not isfinite(spread):
+            raise NumericalError("cost spread overflows float64")
         return 10.0 / spread if spread > 0 else 10.0
 
 
 @dataclass(frozen=True)
 class Solution:
-    """An assignment, its recomputed cost, and which method produced it."""
+    """An assignment, its recomputed cost, and which method produced it.
+
+    A cost that is not finite (a sum that overflowed float64) raises
+    :class:`NumericalError`: no solver or oracle returns one.
+    """
 
     configuration: tuple[int, ...]
     cost: float
@@ -168,6 +180,8 @@ class Solution:
         object.__setattr__(
             self, "configuration", tuple(int(v) for v in self.configuration)
         )
+        if not isfinite(self.cost):
+            raise NumericalError(f"cost {self.cost} of {list(self.configuration)} is not finite")
 
 
 @dataclass(frozen=True)
@@ -189,9 +203,9 @@ class AmplitudeState:
     def dims(self) -> tuple[int, ...]:
         return self.state.phys_dims
 
-    def dense_amplitudes(self, max_elements: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+    def dense_amplitudes(self) -> np.ndarray:
         """Densified relative amplitudes (global scale ``exp(log_scale)`` not applied)."""
-        return tt_to_dense(self.state, max_elements)
+        return tt_to_dense(self.state)
 
 
 def _rescaled(cores: Sequence[np.ndarray]) -> tuple[TensorTrain, float]:
@@ -307,17 +321,56 @@ def apply_non_repetition(
     return AmplitudeState(state, log_scale)
 
 
+# Exact readout counts every amplitude within this relative distance of the
+# largest as a near-tie, which the solvers settle by recomputed cost.  It is
+# far above the rounding of the damped amplitudes (about 1e-15 relative),
+# and it spans a cost band of only 2**-30 / tau (about 1e-10 of the cost
+# spread under the default tau).
+_NEAR_TIE_RTOL = 2.0**-30
+# Near-tie candidates costed per batch, which bounds the index arrays.
+_NEAR_TIE_BATCH = 1 << 16
+
+
+def _readout(s: AmplitudeState, max_elements: int, cost) -> tuple[int, ...]:
+    # Densified argmax of the amplitude magnitudes.  Magnitudes within
+    # _NEAR_TIE_RTOL of the largest are near-ties, and the cheapest of them
+    # by ``cost``, which maps per-site value arrays to costs, wins; the first
+    # in lexicographic order wins equal costs.  A train of nonnegative cores,
+    # as every damped state is, has nonnegative amplitudes, so its abs pass
+    # is skipped.
+    amp = tt_to_dense(s.state, max_elements)
+    if any(np.min(core) < 0.0 for core in s.state.cores):
+        np.abs(amp, out=amp)
+    flat = int(np.argmax(amp))
+    peak = amp.flat[flat]
+    if not peak > 0.0:
+        raise NumericalError("no amplitude is finite and positive; tau is too large")
+    floor = peak * (1.0 - _NEAR_TIE_RTOL)
+    amp.flat[flat] = 0.0
+    if amp.max() >= floor:
+        amp.flat[flat] = peak
+        near = np.flatnonzero(amp >= floor)
+        picks = []
+        for start in range(0, near.size, _NEAR_TIE_BATCH):
+            batch = near[start:start + _NEAR_TIE_BATCH]
+            costs = cost(np.unravel_index(batch, amp.shape))
+            i = int(np.argmin(costs))
+            picks.append((costs[i], batch[i]))
+        flat = int(min(picks)[1])
+    return tuple(int(i) for i in np.unravel_index(flat, amp.shape))
+
+
 def readout_exact(s: AmplitudeState, max_elements: int = DENSE_CAP_DEFAULT) -> tuple[int, ...]:
     """Configuration with the largest amplitude magnitude, by densified argmax.
 
-    Equal magnitudes go to the lexicographically smallest configuration, but
-    equal costs need not give bit-equal amplitudes, each rounded on its own
-    path: on cost ties this is *an* optimal one, not necessarily the oracle's.
+    Magnitudes within a relative ``2**-30`` of the largest count as equal,
+    and the lexicographically smallest configuration among them wins.  If no
+    amplitude is finite and positive (a large ``tau`` can underflow them
+    all, or overflow the exponents) it raises :class:`NumericalError`
+    rather than pick one.  The solvers settle such near-ties by cost; see
+    :func:`solve_qudo`.
     """
-    amp = s.dense_amplitudes(max_elements)
-    np.abs(amp, out=amp)
-    flat = int(np.argmax(amp))
-    return tuple(int(i) for i in np.unravel_index(flat, amp.shape))
+    return _readout(s, max_elements, lambda x: np.zeros(len(x[0])))
 
 
 def readout_greedy(s: AmplitudeState) -> tuple[int, ...]:
@@ -353,9 +406,26 @@ def readout_greedy(s: AmplitudeState) -> tuple[int, ...]:
     return tuple(config)
 
 
-def _solve(problem: QudoProblem, cfg: IteConfig, constrain=None) -> tuple[tuple[int, ...], str]:
+def _chain_cost(problem: QudoProblem, x):
+    # Costs of the configurations whose site values are ``x``: arrays of
+    # them, which broadcast.  The exact readout's near-ties and
+    # brute_force_qudo both sum here, so equal costs tie bit for bit.  A
+    # sum past float64 is inf, which Solution refuses.
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for i, table in enumerate(problem.local):
+            total = total + table[x[i]]
+        for i, table in enumerate(problem.coupling):
+            total = total + table[x[i], x[i + 1]]
+    return total
+
+
+def _solve(
+    problem: QudoProblem, cfg: IteConfig, cost, constrain=None
+) -> tuple[tuple[int, ...], str]:
     # Exact readout densifies all d**n amplitudes, so an oversized problem is
-    # refused before any state is built.
+    # refused before any state is built.  ``cost`` maps per-site value arrays
+    # to the costs that settle the exact readout's near-ties.
     if cfg.readout == "exact" and problem.d**problem.n > cfg.dense_cap:
         raise CapacityError(
             f"{problem.d}^{problem.n} configurations exceed the dense cap {cfg.dense_cap}"
@@ -364,18 +434,22 @@ def _solve(problem: QudoProblem, cfg: IteConfig, constrain=None) -> tuple[tuple[
     if constrain is not None:
         state = constrain(state)
     if cfg.readout == "exact":
-        return readout_exact(state, cfg.dense_cap), "ite-exact"
+        return _readout(state, cfg.dense_cap, cost), "ite-exact"
     return readout_greedy(state), "ite-greedy"
 
 
 def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
     """Damp, read out, and recompute the cost of the winning configuration.
 
-    Exact readout returns an optimal configuration; on cost ties it need not
-    be the one :func:`brute_force_qudo` returns.  It raises
+    Exact readout takes the largest amplitude, but amplitudes within a
+    relative ``2**-30`` of it are settled by recomputed cost, the
+    lexicographically smallest winning equal costs.  So it returns the
+    configuration :func:`brute_force_qudo` returns, on cost ties too, and
+    also when one huge table entry shrinks the default ``tau`` until the
+    other costs damp to equal amplitudes.  It raises
     :class:`CapacityError` when ``d**n`` exceeds ``cfg.dense_cap``.
     """
-    config, method = _solve(problem, cfg)
+    config, method = _solve(problem, cfg, lambda x: _chain_cost(problem, x))
     return Solution(config, problem.cost(config), method)
 
 
@@ -393,12 +467,22 @@ def _tsp_costs(costs, variant: str) -> np.ndarray:
     return costs
 
 
-def _tour_cost(costs: np.ndarray, tour: Sequence[int], variant: str) -> float:
-    # Legs in tour order, then a closed tour's return leg.  Solver and oracle
-    # both sum here, so their costs for one tour agree bit for bit.
-    total = sum(float(costs[a, b]) for a, b in zip(tour, tour[1:]))
-    if variant == "closed":
-        total += float(costs[tour[-1], tour[0]])
+def _tour(config, variant: str):
+    # A closed tour starts at node 0, and site i holds node x + 1 of step
+    # i + 1; an open tour is its configuration.  ``config`` holds integers
+    # or arrays of them.
+    return tuple(config) if variant == "open" else (0,) + tuple(x + 1 for x in config)
+
+
+def _tour_cost(costs: np.ndarray, tour, variant: str):
+    # Legs in tour order, then a closed tour's return leg.  Solver, oracle
+    # and the solver's near-tie readout all sum here, so their costs for one
+    # tour agree bit for bit.  ``tour`` holds node indices or arrays of them.
+    # A sum past float64 is inf, which Solution refuses.
+    with np.errstate(over="ignore"):
+        total = sum(costs[a, b] for a, b in zip(tour, tour[1:]))
+        if variant == "closed":
+            total = total + costs[tour[-1], tour[0]]
     return total
 
 
@@ -415,7 +499,13 @@ def _tsp_problem(costs: np.ndarray, variant: str) -> QudoProblem:
     return QudoProblem(tuple(local), (legs,) * (d - 1))
 
 
-def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteConfig()) -> Solution:
+def solve_tsp(
+    costs: np.ndarray,
+    variant: str = "closed",
+    cfg: IteConfig = IteConfig(),
+    *,
+    policy: TruncationPolicy = TruncationPolicy(),
+) -> Solution:
     """Route optimization as a chain problem with non-repetition layers.
 
     Site ``i`` holds the node visited at step ``i`` and the couplings are
@@ -424,9 +514,11 @@ def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteCo
     ``n - 1``, and its first and return legs are local costs of the first
     and last sites; exact readout then densifies ``(n - 1)**(n - 1)``
     amplitudes.  A closed two-node tour is forced and returned without a
-    solve.  Exact readout returns an optimal tour; on cost ties it need not
-    be the one :func:`brute_force_tsp` returns.  A truncating policy can
-    make the readout repeat a node; such a configuration raises
+    solve.  Exact readout settles near-ties by tour cost, as
+    :func:`solve_qudo` does, so it returns the optimal tour
+    :func:`brute_force_tsp` returns.  ``policy`` rounds the
+    state after each counter layer; the default is exact.  A truncating
+    policy can make the readout repeat a node; such a configuration raises
     :class:`InfeasibilityError` instead of being returned as a tour.
     """
     costs = _tsp_costs(costs, variant)
@@ -434,12 +526,16 @@ def solve_tsp(costs: np.ndarray, variant: str = "closed", cfg: IteConfig = IteCo
     if variant == "closed" and n == 2:
         config, method = (0,), f"ite-{cfg.readout}"
     else:
-        problem = _tsp_problem(costs, variant)
-        config, method = _solve(problem, cfg, lambda s: apply_non_repetition(s, cfg.policy))
-    tour = config if variant == "open" else (0,) + tuple(x + 1 for x in config)
+        config, method = _solve(
+            _tsp_problem(costs, variant),
+            cfg,
+            lambda x: _tour_cost(costs, _tour(x, variant), variant),
+            lambda s: apply_non_repetition(s, policy),
+        )
+    tour = _tour(config, variant)
     if sorted(tour) != list(range(n)):
         raise InfeasibilityError(f"readout {list(tour)} is not a tour")
-    return Solution(tour, _tour_cost(costs, tour, variant), method)
+    return Solution(tour, float(_tour_cost(costs, tour, variant)), method)
 
 
 def brute_force_qudo(problem: QudoProblem) -> Solution:
@@ -448,16 +544,7 @@ def brute_force_qudo(problem: QudoProblem) -> Solution:
     total = d**n
     if total > BRUTE_FORCE_CAP:
         raise CapacityError(f"{total} configurations exceed the cap {BRUTE_FORCE_CAP}")
-    cost = np.zeros((d,) * n)
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = d
-        cost = cost + problem.local[i].reshape(shape)
-    for i in range(n - 1):
-        shape = [1] * n
-        shape[i] = d
-        shape[i + 1] = d
-        cost = cost + problem.coupling[i].reshape(shape)
+    cost = _chain_cost(problem, np.ix_(*[np.arange(d)] * n))
     flat = int(np.argmin(cost))
     config = tuple(int(v) for v in np.unravel_index(flat, cost.shape))
     return Solution(config, problem.cost(config), "oracle")
@@ -469,13 +556,10 @@ def brute_force_tsp(costs: np.ndarray, variant: str = "closed") -> Solution:
     d = costs.shape[0]
     if d > BRUTE_FORCE_TSP_MAX_NODES:
         raise CapacityError(f"{d} nodes exceed the enumeration cap {BRUTE_FORCE_TSP_MAX_NODES}")
-    if variant == "closed":
-        tours = ((0,) + rest for rest in permutations(range(1, d)))
-    else:
-        tours = permutations(range(d))
-    best = None
-    for tour in tours:
-        c = _tour_cost(costs, tour, variant)
-        if best is None or c < best[0]:
-            best = (c, tour)
-    return Solution(best[1], best[0], "oracle")
+    # Every tour at once, one per row in lexicographic order, so argmin
+    # takes the first of equal costs.
+    start = (0,) if variant == "closed" else ()
+    tours = np.array([start + rest for rest in permutations(range(len(start), d))], dtype=np.intp)
+    cost = _tour_cost(costs, tuple(tours.T), variant)
+    best = int(np.argmin(cost))
+    return Solution(tours[best], float(cost[best]), "oracle")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import inf, ldexp, prod, sqrt
+from math import inf, isfinite, ldexp, prod, sqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -120,6 +120,8 @@ def truncated_svd(
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
 
     top = s[0]
+    if not isfinite(top):
+        raise NumericalError("the largest singular value overflows float64")
     rank = int(np.count_nonzero(s > NUMERICAL_RANK_CUTOFF * top)) if top > 0.0 else 0
     if policy.sv_tolerance > 0.0 and top > 0.0:
         rank = min(rank, int(np.count_nonzero(s >= policy.sv_tolerance * top)))

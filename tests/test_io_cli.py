@@ -1,9 +1,12 @@
 """File formats and the command-line contract (exit codes 0/1/2/3)."""
 
+import argparse
 import json
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,9 @@ from ttkit import cli, io
 from ttkit.tt import TensorTrain, TensorTrainOperator, identity_mpo, tt_to_dense
 
 RUN = [sys.executable, "-m", "ttkit"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+# Values for the README's placeholders; "a|b" choices take their first option.
+README_PLACEHOLDERS = {"N": "4", "T": "0.5", "B": "2"}
 
 
 def run_cli(*args):
@@ -224,6 +230,9 @@ class TestCliContract:
             ["qudo-solve", "--problem", str(src), "--tau", "0"],
             ["qudo-solve", "--problem", str(src), "--tau", "nan"],
             ["qudo-solve", "--problem", str(src), "--dense-cap", "0"],
+            # The chain QUDO state is never rounded, so it takes no truncation flags.
+            ["qudo-solve", "--problem", str(src), "--max-bond", "2"],
+            ["qudo-solve", "--problem", str(src), "--tol", "0.1"],
             ["tsp-solve", "--problem", str(src), "--max-bond", "0"],
             ["tsp-solve", "--problem", str(src), "--tol", "-1"],
             ["no-such-command"],
@@ -261,6 +270,13 @@ class TestCliContract:
         io.write_json(huge_json, {"dims": [2**32, 2**32], "data": []})
         huge_bin = tmp_path / "huge.ttk"
         huge_bin.write_bytes(io.MAGIC + bytes([io.VERSION]) + struct.pack("<I2Q", 2, 2**32, 2**32))
+        # A train whose "cores" is not a list.
+        bad_cores = []
+        for i, cores in enumerate([None, 3, True]):
+            path = tmp_path / f"bad_cores{i}.json"
+            io.write_json(path, {"kind": "mpo", "phys_dims": [[2, 2]], "bond_dims": [],
+                                 "cores": cores})
+            bad_cores.append(path)
         bool_problems = [
             {"n": True, "d": 2, "v": [[0, 1]], "w": []},
             {"n": 2, "d": 2, "v": [[0, True], [0, 0]], "w": [[[0, 0], [0, 0]]]},
@@ -281,6 +297,12 @@ class TestCliContract:
             kind = "tsp" if "cost_matrix" in obj else "qudo"
             cases.append([f"{kind}-solve", "--problem", str(path),
                           "--output", str(tmp_path / "x.json")])
+        for path in bad_cores:
+            cases += [
+                ["reconstruct", "--input", str(path), "--output", str(tmp_path / "x.json")],
+                ["kernel-apply", "--mpo", str(path), "--input-vector", str(vec),
+                 "--output", str(tmp_path / "x.json")],
+            ]
         cases += [
             ["compress", "--input", str(huge_json), "--output", str(tmp_path / "x.json")],
             ["compress", "--input", str(huge_bin), "--output", str(tmp_path / "x.json")],
@@ -320,15 +342,25 @@ class TestCliContract:
         # A closed tour's start takes no site: 9 nodes densify 8^8 > 2^22.
         tour9 = tmp_path / "tsp9.json"
         io.write_json(tour9, {"cost_matrix": np.ones((9, 9)).tolist(), "variant": "closed"})
+        # Finite costs whose spread overflows float64: the default tau would be 0.
+        wide_qudo = tmp_path / "wide_qudo.json"
+        io.write_json(wide_qudo, {"n": 3, "d": 2, "v": [[1e308, -1e308], [0, 1], [0.5, 0]],
+                                  "w": [[[0, 0], [0, 0]]] * 2})
+        wide_tour = tmp_path / "wide_tour.json"
+        legs = [[0, 1, 1, 1], [1, 0, 1e308, 1], [1, 1, 0, 1e308], [1e308, 1, 1, 0]]
+        io.write_json(wide_tour, {"cost_matrix": legs, "variant": "closed"})
         cases = [
             ["compress", "--input", str(nan_t), "--output", str(tmp_path / "x.json")],
             ["reconstruct", "--input", str(big_train), "--output", str(tmp_path / "x.json")],
             ["qudo-solve", "--problem", str(big_qudo), "--output", str(tmp_path / "x.json")],
             ["tsp-solve", "--problem", str(tour9), "--output", str(tmp_path / "x.json")],
+            ["qudo-solve", "--problem", str(wide_qudo), "--output", str(tmp_path / "x.json")],
+            ["tsp-solve", "--problem", str(wide_tour), "--output", str(tmp_path / "x.json")],
         ]
         for args in cases:
             r = run_cli(*args)
             assert r.returncode == 3, (args, r.returncode, r.stderr)
+            assert len(r.stderr.splitlines()) == 1, (args, r.stderr)
 
     def test_one_parser_serves_every_call(self, tmp_path):
         # The parser is built once per process; repeated in-process calls
@@ -346,6 +378,23 @@ class TestCliContract:
             assert cli.build_parser().parse_args(argv).max_bond is None
             assert cli.main(["compress", "--input", str(tmp_path / "missing.json"),
                              "--output", str(out)]) == 2
+
+    def test_readme_command_lines_match_the_parser(self):
+        # Every ``ttkit ...`` line of the README parses with its optional
+        # ``[...]`` parts included, and every subcommand has a line.
+        parser = cli.build_parser()
+        documented = set()
+        for line in README.read_text(encoding="utf-8").splitlines():
+            if not line.startswith("ttkit "):
+                continue
+            words = shlex.split(line.split("#")[0].replace("[", " ").replace("]", " "))
+            argv = [README_PLACEHOLDERS.get(w, w.split("|")[0]) for w in words[1:]]
+            try:
+                documented.add(parser.parse_args(argv).command)
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert documented == set(sub.choices)
 
     def test_no_partial_output_on_usage_error(self, tmp_path):
         out = tmp_path / "out.json"

@@ -10,6 +10,7 @@ from ttkit.optimize import (
     AmplitudeState,
     IteConfig,
     QudoProblem,
+    Solution,
     apply_non_repetition,
     brute_force_qudo,
     brute_force_tsp,
@@ -307,6 +308,79 @@ class TestSolveQudo:
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) <= 1e-10
 
 
+class TestExactReadoutEdges:
+    """Exact solves that float64 damping alone cannot settle."""
+
+    def test_overflowing_spread_raises(self):
+        # Finite tables whose ranges sum past float64 would make tau 0.
+        p = QudoProblem((np.array([1e308, -1e308]), np.zeros(2)), (np.zeros((2, 2)),))
+        with pytest.raises(NumericalError):
+            IteConfig().effective_tau(p)
+        with pytest.raises(NumericalError):
+            solve_qudo(p)
+        legs = np.ones((4, 4))
+        legs[1, 2] = legs[2, 3] = legs[3, 0] = 1e308
+        with pytest.raises(NumericalError):
+            solve_tsp(legs, "closed")
+
+    def test_no_solution_has_a_non_finite_cost(self):
+        with pytest.raises(NumericalError):
+            Solution((0, 1), math.inf, "oracle")
+        # every closed 3-node tour sums two 1e308 legs
+        with pytest.raises(NumericalError):
+            brute_force_tsp(np.full((3, 3), 1e308), "closed")
+
+    def test_underflowed_amplitudes_raise(self):
+        # tau = 30 underflows every amplitude; argmax over zeros would return
+        # (0, 0) at cost 100 while (1, 0) costs 50.
+        p = QudoProblem(
+            (np.array([0.0, 50.0]), np.zeros(2)), (np.array([[100.0, 100.0], [0.0, 0.0]]),)
+        )
+        with pytest.raises(NumericalError):
+            solve_qudo(p, IteConfig(tau=30.0))
+        assert solve_qudo(p).configuration == brute_force_qudo(p).configuration == (1, 0)
+
+    @pytest.mark.parametrize("big", [2.0**63, 1e308])
+    def test_one_huge_entry_does_not_swamp_the_rest(self, big):
+        # The default tau shrinks to 10 / big, so the other costs' amplitudes
+        # agree to float64 rounding; recomputed costs settle them.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            v = rng.random((4, 3))
+            v[seed % 4, seed % 3] = big
+            p = QudoProblem(tuple(v), tuple(rng.random((3, 3, 3))))
+            sol, want = solve_qudo(p), brute_force_qudo(p)
+            assert (sol.configuration, sol.cost) == (want.configuration, want.cost)
+            # A closed tour's first leg sits in one local table; an open
+            # tour's legs fill all n - 1 coupling tables, whose ranges then
+            # sum to inf at 1e308.
+            costs = 1.0 + rng.random((5, 5))
+            costs[0, 1 + seed % 4] = big
+            for variant in ("closed", "open"):
+                want = brute_force_tsp(costs, variant)
+                if variant == "open" and big == 1e308:
+                    with pytest.raises(NumericalError):
+                        solve_tsp(costs, variant)
+                    continue
+                sol = solve_tsp(costs, variant)
+                assert (sol.configuration, sol.cost) == (want.configuration, want.cost)
+
+    def test_cost_ties_go_to_the_oracles_choice(self):
+        # Integer costs tie often; equal costs rounded to unequal amplitudes
+        # no longer decide which optimum is returned.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p = QudoProblem(
+                tuple(rng.integers(0, 3, (6, 3)).astype(float)),
+                tuple(rng.integers(0, 3, (5, 3, 3)).astype(float)),
+            )
+            assert solve_qudo(p).configuration == brute_force_qudo(p).configuration
+            costs = rng.integers(0, 3, (6, 6)).astype(float)
+            for variant in ("closed", "open"):
+                sol, want = solve_tsp(costs, variant), brute_force_tsp(costs, variant)
+                assert (sol.configuration, sol.cost) == (want.configuration, want.cost)
+
+
 class TestSolveTsp:
     def test_two_nodes(self):
         costs = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -367,9 +441,9 @@ class TestSolveTsp:
         for seed in range(20):
             costs = np.random.default_rng(seed).uniform(0.0, 10.0, size=(6, 6))
             for readout in ("exact", "greedy"):
-                cfg = IteConfig(policy=TruncationPolicy.truncated(max_bond=2), readout=readout)
+                policy = TruncationPolicy.truncated(max_bond=2)
                 try:
-                    sol = solve_tsp(costs, "closed", cfg)
+                    sol = solve_tsp(costs, "closed", IteConfig(readout=readout), policy=policy)
                 except InfeasibilityError:
                     continue
                 assert sorted(sol.configuration) == list(range(6))
