@@ -304,7 +304,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        # Outputs are checked finite before they are written, so numpy's
+        # overflow warnings would only repeat the one error line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(parser, args)
     except (io.FormatError, DimensionError, NetworkError) as exc:
         print(f"ttkit: {exc}", file=sys.stderr)
         return INPUT_EXIT

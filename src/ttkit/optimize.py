@@ -39,8 +39,9 @@ from .tt import (
     TensorTrain,
     TensorTrainOperator,
     TruncationPolicy,
+    _environments,
+    _split_peak,
     apply_mpo,
-    tt_norm,
     tt_round,
     tt_to_dense,
 )
@@ -115,11 +116,7 @@ class QudoProblem:
         x = [int(v) for v in configuration]
         if len(x) != self.n or any(not 0 <= v < self.d for v in x):
             raise DimensionError(f"configuration {x} does not fit n={self.n}, d={self.d}")
-        total = sum(float(self.local[i][x[i]]) for i in range(self.n))
-        total += sum(
-            float(self.coupling[i][x[i], x[i + 1]]) for i in range(self.n - 1)
-        )
-        return total
+        return float(_chain_cost(self, x))
 
     def spread(self) -> float:
         """Sum of per-table cost ranges; an upper bound on max - min cost.
@@ -271,20 +268,15 @@ def non_repetition_layer(
         raise DimensionError(f"value {value} out of range for cardinality {d}")
     if max_count < 0:
         raise DimensionError("max_count must be >= 0")
-    states = max_count + 1
-    mid = np.zeros((states, d, d, states))
-    for a in range(states):
-        for x in range(d):
-            if x == value:
-                if a < max_count:
-                    mid[a, x, x, a + 1] = 1.0
-            else:
-                mid[a, x, x, a] = 1.0
-    first = mid[0:1]
-    last = mid.sum(axis=3, keepdims=True)
-    if n == 1:
-        return TensorTrainOperator([first.sum(axis=3, keepdims=True)])
-    return TensorTrainOperator([first] + [mid] * (n - 2) + [last])
+    count, x = np.arange(max_count + 1), np.arange(d)
+    mid = np.zeros((count.size, d, d, count.size))
+    # Other values keep the count; ``value`` raises it, up to the cap.
+    mid[count[:, None], x, x, count[:, None]] = x != value
+    mid[count[:-1], value, value, count[1:]] = 1.0
+    cores = [mid] * n
+    cores[0] = mid[:1]
+    cores[-1] = cores[-1].sum(axis=3, keepdims=True)
+    return TensorTrainOperator(cores)
 
 
 def apply_non_repetition(
@@ -310,14 +302,15 @@ def apply_non_repetition(
         raise InfeasibilityError(
             f"allowed occurrences sum to {sum(counts)} < {n} sites; nothing can survive"
         )
-    state, log_scale = s.state, s.log_scale
+    # Rescaled once: a 0/1 counter layer copies or drops entries, so only
+    # the rounded train needs it.  A layer that removes the whole support
+    # leaves tt_round's last core zero, and _rescaled raises.
+    state, shift = _rescaled(s.state.cores)
+    log_scale = s.log_scale + shift
     for value in range(d):
         layer = non_repetition_layer(n, d, value, counts[value])
-        state, shift = _rescaled(apply_mpo(layer, state).cores)
-        state, shift2 = _rescaled(tt_round(state, policy).cores)
-        log_scale += shift + shift2
-    if tt_norm(state) == 0.0:
-        raise InfeasibilityError("constraint layers eliminated every configuration")
+        state, shift = _rescaled(tt_round(apply_mpo(layer, state), policy).cores)
+        log_scale += shift
     return AmplitudeState(state, log_scale)
 
 
@@ -379,53 +372,44 @@ def readout_greedy(s: AmplitudeState) -> tuple[int, ...]:
     Fixes each site to the value maximizing the marginal squared amplitude
     given all earlier choices.  Exact on product states; on correlated
     states it may return a suboptimal (but always nonzero-amplitude)
-    configuration.
+    configuration.  Cores and environments shed their peak's power of two,
+    so scaling the cores does not change the answer.
     """
-    cores = s.state.cores
-    n = len(cores)
-    right = [np.ones((1, 1))] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        # env[a, b] = sum_{x, r, r'} core[a, x, r] right[r, r'] core[b, x, r']
-        tmp = np.tensordot(cores[i], right[i + 1], axes=([2], [0]))
-        env = np.tensordot(tmp, cores[i], axes=([1, 2], [1, 2]))
-        peak = float(np.max(np.abs(env)))
-        right[i] = env / peak if peak > 0 else env
+    cores = [_split_peak(core)[0] for core in s.state.cores]
+    right, _ = _environments(s.state, s.state)
     left = np.ones((1, 1))
     config = []
-    for i in range(n):
-        tmp = np.tensordot(left, cores[i], axes=([0], [0]))  # (b, x, r)
-        tmp = np.tensordot(tmp, right[i + 1], axes=([2], [0]))  # (b, x, r')
-        scores = np.sum(tmp * cores[i], axis=(0, 2))
+    for core, env in zip(cores, right[1:]):
+        tmp = np.tensordot(left, core, axes=([0], [0]))  # (b, x, r)
+        tmp = np.tensordot(tmp, env, axes=([2], [0]))  # (b, x, r')
+        scores = np.sum(tmp * core, axis=(0, 2))
         if float(np.max(scores)) <= 0.0:
             raise InfeasibilityError("greedy readout ran out of nonzero amplitudes")
         choice = int(np.argmax(scores))
         config.append(choice)
-        slice_ = cores[i][:, choice, :]
-        left = slice_.T @ left @ slice_
-        left = left / float(np.max(np.abs(left)))
+        slice_ = core[:, choice, :]
+        left, _ = _split_peak(slice_.T @ left @ slice_)
     return tuple(config)
 
 
 def _chain_cost(problem: QudoProblem, x):
-    # Costs of the configurations whose site values are ``x``: arrays of
-    # them, which broadcast.  The exact readout's near-ties and
-    # brute_force_qudo both sum here, so equal costs tie bit for bit.  A
-    # sum past float64 is inf, which Solution refuses.
-    total = 0.0
+    # The one cost sum, over site values ``x`` (integers or arrays of them,
+    # which broadcast): local[0], then each link's coupling and next local.
+    # An encoded tour's interior locals are zeros, so it sums its legs in
+    # order.  A sum past float64 is inf, which Solution refuses.
     with np.errstate(over="ignore"):
-        for i, table in enumerate(problem.local):
-            total = total + table[x[i]]
+        total = problem.local[0][x[0]]
         for i, table in enumerate(problem.coupling):
-            total = total + table[x[i], x[i + 1]]
+            total = total + table[x[i], x[i + 1]] + problem.local[i + 1][x[i + 1]]
     return total
 
 
 def _solve(
-    problem: QudoProblem, cfg: IteConfig, cost, constrain=None
+    problem: QudoProblem, cfg: IteConfig, constrain=None
 ) -> tuple[tuple[int, ...], str]:
     # Exact readout densifies all d**n amplitudes, so an oversized problem is
-    # refused before any state is built.  ``cost`` maps per-site value arrays
-    # to the costs that settle the exact readout's near-ties.
+    # refused before any state is built.  Its near-ties are settled by
+    # ``problem``'s cost.
     if cfg.readout == "exact" and problem.d**problem.n > cfg.dense_cap:
         raise CapacityError(
             f"{problem.d}^{problem.n} configurations exceed the dense cap {cfg.dense_cap}"
@@ -434,7 +418,7 @@ def _solve(
     if constrain is not None:
         state = constrain(state)
     if cfg.readout == "exact":
-        return _readout(state, cfg.dense_cap, cost), "ite-exact"
+        return _readout(state, cfg.dense_cap, lambda x: _chain_cost(problem, x)), "ite-exact"
     return readout_greedy(state), "ite-greedy"
 
 
@@ -449,7 +433,7 @@ def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
     other costs damp to equal amplitudes.  It raises
     :class:`CapacityError` when ``d**n`` exceeds ``cfg.dense_cap``.
     """
-    config, method = _solve(problem, cfg, lambda x: _chain_cost(problem, x))
+    config, method = _solve(problem, cfg)
     return Solution(config, problem.cost(config), method)
 
 
@@ -474,18 +458,6 @@ def _tour(config, variant: str):
     return tuple(config) if variant == "open" else (0,) + tuple(x + 1 for x in config)
 
 
-def _tour_cost(costs: np.ndarray, tour, variant: str):
-    # Legs in tour order, then a closed tour's return leg.  Solver, oracle
-    # and the solver's near-tie readout all sum here, so their costs for one
-    # tour agree bit for bit.  ``tour`` holds node indices or arrays of them.
-    # A sum past float64 is inf, which Solution refuses.
-    with np.errstate(over="ignore"):
-        total = sum(costs[a, b] for a, b in zip(tour, tour[1:]))
-        if variant == "closed":
-            total = total + costs[tour[-1], tour[0]]
-    return total
-
-
 def _tsp_problem(costs: np.ndarray, variant: str) -> QudoProblem:
     # A closed tour starts at node 0, which needs no site: site i holds the
     # node of step i + 1 (value x is node x + 1), and the first and return
@@ -497,6 +469,11 @@ def _tsp_problem(costs: np.ndarray, variant: str) -> QudoProblem:
         local[0] = costs[0, 1:]
         local[-1] = costs[1:, 0]
     return QudoProblem(tuple(local), (legs,) * (d - 1))
+
+
+def _two_node_tour(costs: np.ndarray, method: str) -> Solution:
+    # Forced, and its encoding (one site of one value) is no chain problem.
+    return Solution((0, 1), float(costs[0, 1]) + float(costs[1, 0]), method)
 
 
 def solve_tsp(
@@ -514,9 +491,10 @@ def solve_tsp(
     ``n - 1``, and its first and return legs are local costs of the first
     and last sites; exact readout then densifies ``(n - 1)**(n - 1)``
     amplitudes.  A closed two-node tour is forced and returned without a
-    solve.  Exact readout settles near-ties by tour cost, as
-    :func:`solve_qudo` does, so it returns the optimal tour
-    :func:`brute_force_tsp` returns.  ``policy`` rounds the
+    solve.  A tour is costed as its encoded chain configuration, which
+    gives the bits of its legs summed in order, and exact readout settles
+    near-ties by that cost, as :func:`solve_qudo` does, so it returns the
+    optimal tour :func:`brute_force_tsp` returns.  ``policy`` rounds the
     state after each counter layer; the default is exact.  A truncating
     policy can make the readout repeat a node; such a configuration raises
     :class:`InfeasibilityError` instead of being returned as a tour.
@@ -524,18 +502,13 @@ def solve_tsp(
     costs = _tsp_costs(costs, variant)
     n = costs.shape[0]
     if variant == "closed" and n == 2:
-        config, method = (0,), f"ite-{cfg.readout}"
-    else:
-        config, method = _solve(
-            _tsp_problem(costs, variant),
-            cfg,
-            lambda x: _tour_cost(costs, _tour(x, variant), variant),
-            lambda s: apply_non_repetition(s, policy),
-        )
+        return _two_node_tour(costs, f"ite-{cfg.readout}")
+    problem = _tsp_problem(costs, variant)
+    config, method = _solve(problem, cfg, lambda s: apply_non_repetition(s, policy))
     tour = _tour(config, variant)
     if sorted(tour) != list(range(n)):
         raise InfeasibilityError(f"readout {list(tour)} is not a tour")
-    return Solution(tour, float(_tour_cost(costs, tour, variant)), method)
+    return Solution(tour, problem.cost(config), method)
 
 
 def brute_force_qudo(problem: QudoProblem) -> Solution:
@@ -553,13 +526,15 @@ def brute_force_qudo(problem: QudoProblem) -> Solution:
 def brute_force_tsp(costs: np.ndarray, variant: str = "closed") -> Solution:
     """Exhaustive tour enumeration in lexicographic order."""
     costs = _tsp_costs(costs, variant)
-    d = costs.shape[0]
-    if d > BRUTE_FORCE_TSP_MAX_NODES:
-        raise CapacityError(f"{d} nodes exceed the enumeration cap {BRUTE_FORCE_TSP_MAX_NODES}")
-    # Every tour at once, one per row in lexicographic order, so argmin
-    # takes the first of equal costs.
-    start = (0,) if variant == "closed" else ()
-    tours = np.array([start + rest for rest in permutations(range(len(start), d))], dtype=np.intp)
-    cost = _tour_cost(costs, tuple(tours.T), variant)
+    n = costs.shape[0]
+    if n > BRUTE_FORCE_TSP_MAX_NODES:
+        raise CapacityError(f"{n} nodes exceed the enumeration cap {BRUTE_FORCE_TSP_MAX_NODES}")
+    if variant == "closed" and n == 2:
+        return _two_node_tour(costs, "oracle")
+    # Every encoded tour at once, one per row in the tours' lexicographic
+    # order, so argmin takes the first of equal costs.
+    problem = _tsp_problem(costs, variant)
+    configs = np.array(list(permutations(range(problem.d))), dtype=np.intp)
+    cost = _chain_cost(problem, tuple(configs.T))
     best = int(np.argmin(cost))
-    return Solution(tours[best], float(cost[best]), "oracle")
+    return Solution(_tour(configs[best], variant), float(cost[best]), "oracle")

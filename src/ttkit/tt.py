@@ -383,22 +383,24 @@ def _split_peak(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), int(e)
 
 
-def _inner_exponent(a: TensorTrain, b: TensorTrain) -> tuple[float, int]:
-    # <a, b> as mantissa * 2**exponent.  Every core and the environment after
-    # every site shed their peak's power of two into the exponent, so no
-    # partial product overflows or underflows however the scale is spread.
+def _environments(a: TensorTrain, b: TensorTrain) -> tuple[list[np.ndarray], int]:
+    # Right environments of <a, b>: envs[i] contracts sites i.. of both
+    # trains into an (a bond, b bond) matrix; envs[n] is 1 x 1.  Every core
+    # and environment sheds its peak's power of two into ``exponent``, so
+    # nothing overflows or underflows, and envs[0] * 2**exponent is <a, b>.
     if a.phys_dims != b.phys_dims:
         raise DimensionError(
             f"physical dimensions differ: {a.phys_dims} vs {b.phys_dims}"
         )
-    env = np.ones((1, 1))
+    envs = [np.ones((1, 1))]
     exponent = 0
-    for ca, cb in zip(a.cores, b.cores):
+    for ca, cb in zip(reversed(a.cores), reversed(b.cores)):
         (ca, ea), (cb, eb) = _split_peak(ca), _split_peak(cb)
-        tmp = np.tensordot(env, ca, axes=([0], [0]))  # (lb, d, ra)
-        env, e = _split_peak(np.tensordot(tmp, cb, axes=([0, 1], [0, 1])))  # (ra, rb)
+        tmp = np.tensordot(ca, envs[-1], axes=([2], [0]))  # (la, d, rb)
+        env, e = _split_peak(np.tensordot(tmp, cb, axes=([1, 2], [1, 2])))  # (la, lb)
+        envs.append(env)
         exponent += ea + eb + e
-    return float(env[0, 0]), exponent
+    return envs[::-1], exponent
 
 
 def _ldexp_in_range(mantissa: float, exponent: int) -> float:
@@ -414,9 +416,11 @@ def _ldexp_in_range(mantissa: float, exponent: int) -> float:
 def tt_inner(a: TensorTrain, b: TensorTrain) -> float:
     """Dot product of the tensors two trains represent, via transfer contraction.
 
-    Raises :class:`NumericalError` when the result is outside float64 range.
+    Swept from the last site, as :func:`~ttkit.optimize.readout_greedy`
+    sweeps.  Raises :class:`NumericalError` outside float64 range.
     """
-    return _ldexp_in_range(*_inner_exponent(a, b))
+    envs, exponent = _environments(a, b)
+    return _ldexp_in_range(float(envs[0][0, 0]), exponent)
 
 
 def tt_norm(tt: TensorTrain) -> float:
@@ -424,7 +428,8 @@ def tt_norm(tt: TensorTrain) -> float:
 
     Raises :class:`NumericalError` when the norm is outside float64 range.
     """
-    mantissa, exponent = _inner_exponent(tt, tt)
+    envs, exponent = _environments(tt, tt)
+    mantissa = float(envs[0][0, 0])
     if exponent % 2:
         mantissa, exponent = 2.0 * mantissa, exponent - 1
     return _ldexp_in_range(sqrt(max(mantissa, 0.0)), exponent // 2)

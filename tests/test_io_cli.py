@@ -349,7 +349,24 @@ class TestCliContract:
         wide_tour = tmp_path / "wide_tour.json"
         legs = [[0, 1, 1, 1], [1, 0, 1e308, 1], [1, 1, 0, 1e308], [1e308, 1, 1, 0]]
         io.write_json(wide_tour, {"cost_matrix": legs, "variant": "closed"})
+        # Inputs whose computation overflows on the way to a non-finite
+        # result: each is still one error line, with no numpy warnings.
+        huge_t = tmp_path / "huge.json"
+        io.write_tensor(huge_t, np.array([[1e200, 4e180], [3.0, 1.0]]))
+        huge_mpo = tmp_path / "huge_mpo.json"
+        io.write_train(huge_mpo, TensorTrainOperator([np.full((1, 2, 1, 1), 1e200)] * 3))
+        ones = tmp_path / "ones.json"
+        io.write_tensor(ones, np.ones(3))
+        edge_qudo = tmp_path / "edge_qudo.json"
+        io.write_json(edge_qudo, {"n": 3, "d": 2, "v": [[1e308, 1e308], [0.3, 0.2], [-1e308, -1e308]],
+                                  "w": [[[0.1, 0.2], [0.3, 0.4]], [[0.05, 0.15], [0.25, 0.35]]]})
         cases = [
+            ["compress", "--input", str(huge_t), "--output", str(tmp_path / "x.json"),
+             "--max-bond", "1"],
+            ["kernel-apply", "--mpo", str(huge_mpo), "--input-vector", str(ones),
+             "--output", str(tmp_path / "x.json")],
+            ["reconstruct", "--input", str(huge_mpo), "--output", str(tmp_path / "x.json")],
+            ["qudo-solve", "--problem", str(edge_qudo), "--output", str(tmp_path / "x.json")],
             ["compress", "--input", str(nan_t), "--output", str(tmp_path / "x.json")],
             ["reconstruct", "--input", str(big_train), "--output", str(tmp_path / "x.json")],
             ["qudo-solve", "--problem", str(big_qudo), "--output", str(tmp_path / "x.json")],

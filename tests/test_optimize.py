@@ -207,6 +207,14 @@ class TestNonRepetition:
         with pytest.raises(InfeasibilityError):
             apply_non_repetition(uniform_state(3, 2))
 
+    def test_counters_that_remove_the_whole_support(self):
+        # Enough values for every site, but the one configuration the state
+        # holds repeats value 0, so the first counter layer zeroes it.
+        one_hot = np.array([1.0, 0.0]).reshape(1, 2, 1)
+        s = AmplitudeState(TensorTrain([one_hot, one_hot]))
+        with pytest.raises(InfeasibilityError):
+            apply_non_repetition(s)
+
     def test_log_scale_keeps_cores_in_range(self):
         rng = np.random.default_rng(74)
         p = random_problem(rng, 5, 5, scale=3.0)
@@ -250,6 +258,17 @@ class TestReadout:
             cores = [rng.uniform(0.1, 1.0, size=(1, 3, 1)) for _ in range(4)]
             s = AmplitudeState(TensorTrain(cores))
             assert readout_greedy(s) == readout_exact(s)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_greedy_ignores_core_scale(self, scale):
+        # Scaling every core, far enough that the products of the unscaled
+        # sweep would overflow or underflow, leaves the choice unchanged.
+        rng = np.random.default_rng(3)
+        bonds = [1, 3, 3, 3, 3, 3, 1]
+        cores = [rng.uniform(0.1, 1.0, size=(bonds[i], 3, bonds[i + 1])) for i in range(6)]
+        assert readout_greedy(AmplitudeState(TensorTrain(cores))) == (2, 2, 0, 0, 1, 0)
+        scaled = AmplitudeState(TensorTrain([core * scale for core in cores]))
+        assert readout_greedy(scaled) == (2, 2, 0, 0, 1, 0)
 
     def test_greedy_matches_exact_on_worked_example(self):
         s = ite_state(worked_example(), IteConfig(tau=1.0))

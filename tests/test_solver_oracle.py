@@ -12,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ttkit.optimize import QudoProblem, solve_qudo, solve_tsp
+from ttkit.optimize import QudoProblem, brute_force_tsp, solve_qudo, solve_tsp
 from ttkit.tt import DENSE_CAP_DEFAULT
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from checks import check_qudo, check_tour, held_karp, qudo_optimum  # noqa: E402
+from checks import check_qudo, check_tour, held_karp, qudo_optimum, tour_cost  # noqa: E402
 
 
 def seeded_costs(seed, shape, ties):
@@ -36,6 +36,10 @@ def test_tour_is_optimal(variant, nodes, seed, ties):
     sol = solve_tsp(costs, variant)
     optimum = held_karp(costs, variant)
     assert check_tour(costs, variant, sol.configuration, sol.cost, optimum, exact=True) is None
+    # A tour is costed as its encoded chain, which gives the bits of its
+    # legs summed in order.
+    oracle = brute_force_tsp(costs, variant)
+    assert sol.cost == oracle.cost == tour_cost(costs, sol.configuration, variant)
 
 
 @st.composite
