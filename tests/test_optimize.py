@@ -261,8 +261,8 @@ class TestReadout:
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_greedy_ignores_core_scale(self, scale):
-        # Scaling every core, far enough that the products of the unscaled
-        # sweep would overflow or underflow, leaves the choice unchanged.
+        # Scaled by 1e+-200, six cores multiply to far outside float64, yet
+        # the choice must not change.
         rng = np.random.default_rng(3)
         bonds = [1, 3, 3, 3, 3, 3, 1]
         cores = [rng.uniform(0.1, 1.0, size=(bonds[i], 3, bonds[i + 1])) for i in range(6)]
