@@ -14,6 +14,11 @@ noise.  The exact policy is simply the default one: no ``max_bond`` and
 zero tolerance, which keeps everything above that noise floor.  Singular
 vectors are sign-fixed so the first non-negligible component of each left
 vector is nonnegative, which makes decompositions reproducible.
+
+Wide link matrices (see ``WIDE_RATIO`` and ``WIDE_MIN_ELEMENTS``) go through
+a QR of the transpose first and an SVD of the small triangular factor.
+Their singular values equal a direct SVD's to rounding, not bit for bit;
+the sign rule is the same on both paths.
 """
 
 from __future__ import annotations
@@ -56,6 +61,12 @@ DENSE_CAP_DEFAULT = 2**22
 # Relative spectral floor: singular values at or below this multiple of the
 # largest are float64 noise and define the numerical rank.
 NUMERICAL_RANK_CUTOFF = 1e-14
+
+# A matrix with at least WIDE_RATIO times as many columns as rows and at least
+# WIDE_MIN_ELEMENTS entries is factored through a QR of its transpose first
+# (Chan's R-SVD).  Below these sizes the extra QR costs more than it saves.
+WIDE_RATIO = 4
+WIDE_MIN_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -108,14 +119,29 @@ def truncated_svd(
     orthonormal right singular vectors, and ``discarded_weight`` is the sum
     of squares of the dropped singular values.  At least one singular value
     is always kept so downstream shapes stay valid.
+
+    A wide matrix (``cols >= WIDE_RATIO * rows`` and at least
+    ``WIDE_MIN_ELEMENTS`` entries) is factored as ``m.T = Q R`` first, and
+    the SVD is taken of the small ``R.T``; the kept right vectors are mapped
+    back through ``Q``.  The path depends on the shape alone.  Its singular
+    values equal a direct SVD's to rounding, not bit for bit, and the signs
+    are fixed by the same rule.
     """
     m = as_tensor(m)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got rank {m.ndim}")
     if not np.all(np.isfinite(m)):
         raise NumericalError("matrix contains non-finite entries")
+    rows, cols = m.shape
+    wide = cols >= WIDE_RATIO * rows and m.size >= WIDE_MIN_ELEMENTS
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        if wide:
+            # m = r.T @ q.T with orthonormal q, so m has r.T's singular
+            # values and left vectors; its right vectors are vt @ q.T.
+            q, r = np.linalg.qr(m.T)
+            u, s, vt = np.linalg.svd(r.T, full_matrices=False)
+        else:
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
 
@@ -130,7 +156,8 @@ def truncated_svd(
     rank = max(rank, 1)
 
     discarded = float(np.sum(s[rank:] ** 2))
-    u, s, vt = u[:, :rank].copy(), s[:rank].copy(), vt[:rank].copy()
+    u, s = u[:, :rank].copy(), s[:rank].copy()
+    vt = vt[:rank] @ q.T if wide else vt[:rank].copy()
     _fix_signs(u, vt)
     return u, s, vt, discarded
 

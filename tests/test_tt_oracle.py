@@ -1,5 +1,6 @@
-"""Property tests of densification, decomposition, rounding, addition,
-operator application and the SVD sign fix against plain references."""
+"""Property tests of the truncated SVD, densification, decomposition,
+rounding, addition, operator application and the SVD sign fix against plain
+references."""
 
 from math import prod
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from ttkit.errors import CapacityError
 from ttkit.kernels import ProductState, apply_mpo_to_product
 from ttkit.tt import (
+    WIDE_MIN_ELEMENTS,
+    WIDE_RATIO,
     TensorTrain,
     TensorTrainOperator,
     TruncationPolicy,
@@ -22,6 +25,7 @@ from ttkit.tt import (
     tt_round,
     tt_svd,
     tt_to_dense,
+    truncated_svd,
 )
 
 from oracles import (
@@ -155,6 +159,85 @@ def assert_error_is_discarded_weight(got, want, weights, scale2):
     # so the squared error is the sum of the discarded weights.
     err2 = float(np.sum((got - want) ** 2))
     assert abs(err2 - sum(weights)) <= 1e-12 * scale2
+
+
+def is_wide(rows, cols):
+    return cols >= WIDE_RATIO * rows and rows * cols >= WIDE_MIN_ELEMENTS
+
+
+@st.composite
+def link_matrices(draw):
+    """Matrices on both sides of the QR-first threshold, in either orientation:
+    low rank, sparse, with leading zero rows, or all zero."""
+    rows = draw(st.integers(1, 40))
+    edge = max(WIDE_RATIO * rows, -(-WIDE_MIN_ELEMENTS // rows))
+    cols = draw(st.one_of(st.integers(1, WIDE_RATIO * rows + 1), st.integers(edge - 1, 2 * edge)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, min(rows, cols)))
+    m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    m *= rng.random((rows, cols)) < draw(st.floats(0.0, 1.0))
+    m[: draw(st.integers(0, rows))] = 0.0
+    return m.T if draw(st.booleans()) else m
+
+
+def seeded_low_rank(seed, rows, cols, rank):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+
+
+WIDE_LEAD_ZERO = seeded_tensor(30, (16, 256))
+WIDE_LEAD_ZERO[:5] = 0.0
+
+
+class TestSvdOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(link_matrices(), policies())
+    @example(seeded_tensor(31, (16, 4096)), TruncationPolicy(max_bond=3))
+    @example(seeded_tensor(32, (16, 4096)).T, TruncationPolicy())
+    @example(seeded_low_rank(33, 8, 1024, 2), TruncationPolicy())
+    @example(WIDE_LEAD_ZERO, TruncationPolicy(sv_tolerance=0.1))
+    @example(np.zeros((4, 2048)), TruncationPolicy())
+    @example(seeded_tensor(34, (64, 256)), TruncationPolicy())
+    @example(seeded_tensor(35, (16, 255)), TruncationPolicy())
+    def test_truncated_svd_matches_numpy(self, m, policy):
+        u, s, v, discarded = truncated_svd(m, policy)
+        want = np.linalg.svd(m, compute_uv=False)
+        rank = s.size
+        assert np.max(np.abs(s - want[:rank])) <= 1e-13 * want[0]
+        assert np.max(np.abs(u.T @ u - np.eye(rank))) <= 1e-12
+        assert np.max(np.abs(v @ v.T - np.eye(rank))) <= 1e-12
+        assert_error_is_discarded_weight((u * s) @ v, m, [discarded], float(np.sum(m**2)))
+        want_u, want_v = u.copy(), v.copy()
+        fix_signs_loop(want_u, want_v)
+        assert u.tobytes() == want_u.tobytes() and v.tobytes() == want_v.tobytes()
+        again = truncated_svd(m, policy)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again[:3], (u, s, v)))
+        assert again[3] == discarded
+
+    def test_qr_first_only_for_wide_links(self, monkeypatch):
+        # Small wide links, such as a layer request's, and tall ones keep the plain SVD.
+        calls, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+        for shape in [(16, 256), (16, 4096), (4, 256), (16, 64), (64, 16), (256, 256), (4096, 16)]:
+            truncated_svd(seeded_tensor(36, shape), TruncationPolicy())
+        assert calls == [(256, 16), (4096, 16)]
+
+    def test_wide_truncation_law(self):
+        # Criterion 4's law on a link matrix that takes the QR-first path.
+        m = seeded_tensor(1019, (16, 4096))
+        assert is_wide(*m.shape)
+        spectrum = np.linalg.svd(m, compute_uv=False)
+        total = float(np.sum(spectrum**2))
+        for b in range(1, 17):
+            err2 = float(np.sum((tt_to_dense(tt_svd(m, TruncationPolicy(max_bond=b))) - m) ** 2))
+            tail = float(np.sum(spectrum[b:] ** 2))
+            assert abs(err2 - tail) <= 1e-9 * max(tail, 1e-12 * total)
+
+    def test_wide_exact_round_trip(self):
+        t = seeded_tensor(1020, (4,) * 8)
+        assert is_wide(4, 4**7)
+        got = tt_to_dense(tt_svd(t, TruncationPolicy()))
+        assert np.linalg.norm(got - t) <= 1e-10 * np.linalg.norm(t)
 
 
 class TestTrainOracle:
