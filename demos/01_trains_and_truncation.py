@@ -56,7 +56,8 @@ for b in (1, 4, 16, 48):
 
 # --- rounding an existing train without densifying --------------------------
 fat = tt_svd(low_rank + 1e-3 * noise, TruncationPolicy.exact())
-slim, weights = tt_round(fat, TruncationPolicy.truncated(max_bond=2), return_weights=True)
+weights = []
+slim = tt_round(fat, TruncationPolicy.truncated(max_bond=2), discarded=weights)
 err = np.linalg.norm(tt_to_dense(slim) - tt_to_dense(fat))
 print(
     f"\nrounded bonds {fat.bond_dims} -> {slim.bond_dims}; "

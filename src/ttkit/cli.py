@@ -88,7 +88,9 @@ def _parse_factor_dims(parser: _Parser, text: str | None) -> tuple[int, ...] | N
     return dims
 
 
-def _report_lines(report) -> str:
+def _write_report(path, report) -> None:
+    if path is None:
+        return
     lines = [
         f"dense_params = {report.dense_params}",
         f"compressed_params = {report.compressed_params}",
@@ -98,13 +100,8 @@ def _report_lines(report) -> str:
         "link_discarded_weights = "
         + ", ".join(repr(w) for w in report.link_discarded_weights),
     ]
-    return "\n".join(lines) + "\n"
-
-
-def _write_report(path, report) -> None:
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_report_lines(report))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_result(path, result: np.ndarray) -> None:
@@ -116,16 +113,8 @@ def _write_result(path, result: np.ndarray) -> None:
     io.write_tensor(path, result)
 
 
-def _solution_obj(sol: Solution) -> dict:
-    return {
-        "configuration": list(sol.configuration),
-        "cost": sol.cost,
-        "method": sol.method,
-    }
-
-
 def _emit_solution(args, sol: Solution) -> None:
-    obj = _solution_obj(sol)
+    obj = {"configuration": list(sol.configuration), "cost": sol.cost, "method": sol.method}
     if getattr(args, "output", None):
         io.write_json(args.output, obj)
     else:

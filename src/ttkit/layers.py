@@ -163,9 +163,13 @@ def matrix_to_mpo(
     a: np.ndarray,
     plan: ShapePlan,
     policy: TruncationPolicy,
-    return_weights: bool = False,
-) -> TensorTrainOperator | tuple[TensorTrainOperator, list[float]]:
-    """Compress a matrix into an operator train following ``plan``."""
+    *,
+    discarded: list[float] | None = None,
+) -> TensorTrainOperator:
+    """Compress a matrix into an operator train following ``plan``.
+
+    A ``discarded`` list gains the sweep's link weights, as in ``tt_svd``.
+    """
     a = as_tensor(a)
     if a.shape != (plan.n_rows, plan.n_cols):
         raise DimensionError(
@@ -182,28 +186,31 @@ def matrix_to_mpo(
     )
     t = group_indexes(t, pairing)
     # 4) SVD sweep
-    train, weights = tt_svd(t, policy, return_weights=True)
+    train = tt_svd(t, policy, discarded=discarded)
     # 5) split each physical index back into (output, input)
     cores = []
     for i, core in enumerate(train.cores):
         split = split_index(core, 1, (plan.row_factors[i], plan.col_factors[i]))
         cores.append(split.transpose(0, 2, 1, 3))  # (left, in, out, right)
-    op = TensorTrainOperator(cores)
-    return (op, weights) if return_weights else op
+    return TensorTrainOperator(cores)
 
 
 def vector_to_mps(
     c: np.ndarray,
     factor_dims: Sequence[int],
     policy: TruncationPolicy,
-    return_weights: bool = False,
-) -> TensorTrain | tuple[TensorTrain, list[float]]:
-    """Compress a vector into a train over the given site dimensions."""
+    *,
+    discarded: list[float] | None = None,
+) -> TensorTrain:
+    """Compress a vector into a train over the given site dimensions.
+
+    A ``discarded`` list gains the sweep's link weights, as in ``tt_svd``.
+    """
     c = as_tensor(c)
     if c.ndim != 1:
         raise DimensionError(f"expected a vector, got rank {c.ndim}")
     t = split_index(c, 0, tuple(factor_dims))
-    return tt_svd(t, policy, return_weights=return_weights)
+    return tt_svd(t, policy, discarded=discarded)
 
 
 def compress_layer(
@@ -227,13 +234,14 @@ def compress_layer(
         raise DimensionError(
             f"bias must have length {plan.n_rows}, got shape {c.shape}"
         )
-    weights_op, w_dw = matrix_to_mpo(a, plan, policy, return_weights=True)
-    bias_tt, b_dw = vector_to_mps(c, plan.row_factors, policy, return_weights=True)
+    dw: list[float] = []
+    weights_op = matrix_to_mpo(a, plan, policy, discarded=dw)
+    bias_tt = vector_to_mps(c, plan.row_factors, policy, discarded=dw)
     layer = CompressedLayer(weights_op, bias_tt)
     report = _report(
         plan.n_rows * (plan.n_cols + 1),
         weights_op.param_count() + bias_tt.param_count(),
-        w_dw + b_dw,
+        dw,
         float(np.sum(a**2) + np.sum(c**2)),
     )
     return layer, report
@@ -278,6 +286,7 @@ def compress_dataset(
         raise DimensionError(
             f"factor dims {dims} do not cover {t.size} elements"
         )
-    train, dw = tt_svd(t.reshape(dims), policy, return_weights=True)
+    dw: list[float] = []
+    train = tt_svd(t.reshape(dims), policy, discarded=dw)
     report = _report(t.size, train.param_count(), dw, float(np.sum(t**2)))
     return train, report

@@ -236,6 +236,7 @@ def ite_state(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> AmplitudeSt
     """
     tau = cfg.effective_tau(problem)
     n, d = problem.n, problem.d
+    x = np.arange(d)
     cores = []
     log_scale = 0.0
     for i in range(n):
@@ -245,13 +246,11 @@ def ite_state(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> AmplitudeSt
         peak = float(np.max(exponents))
         log_scale += peak
         damp = np.exp(exponents - peak)
-        left = damp.shape[0]
         if i == n - 1:
-            core = damp.reshape(left, d, 1)
+            core = damp[:, :, None]
         else:
-            core = np.zeros((left, d, d))
-            for x in range(d):
-                core[:, x, x] = damp[:, x]
+            core = np.zeros((damp.shape[0], d, d))
+            core[:, x, x] = damp
         cores.append(core)
     return AmplitudeState(TensorTrain(cores), log_scale)
 

@@ -13,7 +13,8 @@ values at or below ``1e-14`` times the largest are treated as float64
 noise.  The exact policy is simply the default one: no ``max_bond`` and
 zero tolerance, which keeps everything above that noise floor.  Singular
 vectors are sign-fixed so the first non-negligible component of each left
-vector is nonnegative, which makes decompositions reproducible.
+vector is nonnegative, which makes decompositions reproducible.  A sweep
+appends each link's discarded weight to a ``discarded=`` list, if given.
 
 Wide link matrices (see ``WIDE_RATIO`` and ``WIDE_MIN_ELEMENTS``) go through
 a QR of the transpose first and an SVD of the small triangular factor.
@@ -81,10 +82,12 @@ class TruncationPolicy:
     sv_tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.max_bond is not None and self.max_bond < 1:
-            raise ValueError(f"max_bond must be >= 1, got {self.max_bond}")
-        if not (np.isfinite(self.sv_tolerance) and self.sv_tolerance >= 0.0):
-            raise ValueError(f"sv_tolerance must be finite and >= 0, got {self.sv_tolerance}")
+        bond, tol = self.max_bond, self.sv_tolerance
+        integral = isinstance(bond, (int, np.integer)) and not isinstance(bond, bool)
+        if bond is not None and not (integral and bond >= 1):
+            raise ValueError(f"max_bond must be an integer >= 1, got {bond!r}")
+        if isinstance(tol, (bool, np.bool_)) or not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"sv_tolerance must be finite and >= 0, got {tol!r}")
 
     @classmethod
     def exact(cls) -> "TruncationPolicy":
@@ -272,15 +275,16 @@ def param_count_mpo(n_sites: int, phys_dim: int, bond_dim: int) -> int:
 def tt_svd(
     tensor: np.ndarray,
     policy: TruncationPolicy,
-    return_weights: bool = False,
-) -> TensorTrain | tuple[TensorTrain, list[float]]:
+    *,
+    discarded: list[float] | None = None,
+) -> TensorTrain:
     """Decompose a dense tensor into a train by a left-to-right SVD sweep.
 
     All cores except the last are left-orthogonal.  With an exact policy the
     train reproduces the input to float64 accuracy; with a truncated policy
-    the Frobenius error equals ``sqrt(sum(weights))`` of the per-link
-    discarded weights (returned when ``return_weights`` is set), since what
-    each link discards is orthogonal to everything later links keep.
+    the Frobenius error equals the root of the summed per-link discarded
+    weights, since what each link discards is orthogonal to everything later
+    links keep.  A ``discarded`` list gains one weight per link, in order.
     """
     t = as_tensor(tensor)
     if t.ndim < 1:
@@ -289,7 +293,7 @@ def tt_svd(
         raise NumericalError("tensor contains non-finite entries")
 
     dims = t.shape
-    weights: list[float] = []
+    weights = [] if discarded is None else discarded
     cores: list[np.ndarray] = []
     carry = t.reshape(1, -1)
     left = 1
@@ -302,8 +306,7 @@ def tt_svd(
         carry = s[:, None] * v
         left = rank
     cores.append(carry.reshape(left, dims[-1], 1))
-    train = TensorTrain(cores)
-    return (train, weights) if return_weights else train
+    return TensorTrain(cores)
 
 
 def _contract_chain(cores: Sequence[np.ndarray]) -> np.ndarray:
@@ -364,14 +367,15 @@ def mpo_to_matrix(op: TensorTrainOperator) -> np.ndarray:
 def tt_round(
     tt: TensorTrain,
     policy: TruncationPolicy,
-    return_weights: bool = False,
-) -> TensorTrain | tuple[TensorTrain, list[float]]:
+    *,
+    discarded: list[float] | None = None,
+) -> TensorTrain:
     """Re-truncate an existing train to (possibly) smaller bond dimensions.
 
     Right-to-left orthogonalization sweep followed by a left-to-right
     truncation sweep; as for :func:`tt_svd`, the Frobenius distance to the
     input train equals the square root of the summed per-link discarded
-    weights.
+    weights, which a ``discarded`` list gains in link order.
     """
     cores = [np.asarray(c, dtype=np.float64) for c in tt.cores]
     for c in cores:
@@ -392,7 +396,7 @@ def tt_round(
         cores[k - 1] = np.tensordot(cores[k - 1], r.T, axes=([2], [0]))
 
     # Truncation sweep left to right.
-    weights: list[float] = []
+    weights = [] if discarded is None else discarded
     for k in range(n - 1):
         left, d, right = cores[k].shape
         u, s, v, dw = truncated_svd(cores[k].reshape(left * d, right), policy)
@@ -400,8 +404,7 @@ def tt_round(
         rank = s.size
         cores[k] = u.reshape(left, d, rank)
         cores[k + 1] = np.tensordot(s[:, None] * v, cores[k + 1], axes=([1], [0]))
-    train = TensorTrain(cores)
-    return (train, weights) if return_weights else train
+    return TensorTrain(cores)
 
 
 def _split_peak(x: np.ndarray) -> tuple[np.ndarray, int]:

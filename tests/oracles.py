@@ -2,7 +2,8 @@
 
 Everything here works by explicit enumeration or a different numerical
 route than the library (nested loops instead of tensordot, Gram-matrix
-eigenvalues instead of SVD), so agreement is meaningful.
+eigenvalues instead of SVD), so agreement is meaningful.  The last helper
+checks the ``discarded=`` list contract that every SVD sweep shares.
 """
 
 from itertools import product
@@ -159,3 +160,21 @@ def fix_signs_loop(u, v):
         if lead < 0.0:
             u[:, j] = -col
             v[j, :] = -v[j, :]
+
+
+def sweep_with_list(kind, sweep, *args):
+    """Run ``sweep(*args)`` without and with a ``discarded`` list that already
+    holds entries, and check the list contract.
+
+    Both calls return exactly ``kind`` with equal cores, and the list gains
+    one weight per link after its old entries.  Returns the train and the
+    new weights.
+    """
+    plain = sweep(*args)
+    held = [-1.0, -2.0]
+    train = sweep(*args, discarded=held)
+    assert type(plain) is kind and type(train) is kind
+    assert len(train.cores) == len(plain.cores)
+    assert all(np.array_equal(a, b) for a, b in zip(train.cores, plain.cores))
+    assert held[:2] == [-1.0, -2.0] and len(held) == 2 + train.n_sites - 1
+    return train, held[2:]

@@ -178,9 +178,8 @@ def test_criterion_04_truncation_law():
         )
         dense = tt_to_dense(train)
         cap = int(rng.integers(1, 5))
-        rounded, weights = tt_round(
-            train, TruncationPolicy.truncated(max_bond=cap), return_weights=True
-        )
+        weights = []
+        rounded = tt_round(train, TruncationPolicy.truncated(max_bond=cap), discarded=weights)
         err = np.linalg.norm(tt_to_dense(rounded) - dense)
         assert err <= np.sqrt(sum(weights)) + 1e-12
 

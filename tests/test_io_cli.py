@@ -432,7 +432,7 @@ class TestCliContract:
         r = run_cli("qudo-solve", "--problem", str(prob), "--tau", "1.0",
                     "--output", str(sol_path))
         assert r.returncode == 0, r.stderr
-        sol = json.load(open(sol_path))
+        sol = json.loads(sol_path.read_text())
         assert sol["configuration"] == [1, 1]
         assert sol["cost"] == pytest.approx(-3.0)
         assert sol["method"] == "ite-exact"
@@ -456,7 +456,7 @@ class TestCliContract:
         )
         assert r.returncode == 0, r.stderr
         assert "dense_params = 272" in report.read_text()
-        layer = json.load(open(layer_path))
+        layer = json.loads(layer_path.read_text())
         assert layer["weights"]["bond_dims"] == [1, 1, 1]
 
         mpo_path = tmp_path / "mpo.json"

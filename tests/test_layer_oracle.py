@@ -3,7 +3,8 @@
 The library reads a compression's error from the SVD sweep's discarded
 weights; here it is measured the long way, by densifying the compressed
 result, over random shape plans and policies.  The layer apply is checked
-against the dense ``W' x + c'`` of the stored trains.
+against the dense ``W' x + c'`` of the stored trains, and the report's
+per-link weights against the two sweeps' ``discarded=`` lists.
 """
 
 from math import prod
@@ -13,8 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ttkit.layers import ShapePlan, apply_compressed_layer, compress_dataset, compress_layer
-from ttkit.tt import TruncationPolicy, mpo_to_matrix, tt_to_dense
+from ttkit.layers import (
+    ShapePlan,
+    apply_compressed_layer,
+    compress_dataset,
+    compress_layer,
+    matrix_to_mpo,
+    vector_to_mps,
+)
+from ttkit.tt import TensorTrain, TensorTrainOperator, TruncationPolicy, mpo_to_matrix, tt_to_dense
+
+from oracles import sweep_with_list
 
 EXACT = TruncationPolicy()
 
@@ -83,6 +93,13 @@ class TestLayerOracle:
         assert report.dense_params == plan.n_rows * (plan.n_cols + 1)
         if policy.max_bond is not None:
             assert max(layer.weights.bond_dims + layer.bias.bond_dims, default=1) <= policy.max_bond
+
+        # The report lists the matrix sweep's weights, then the bias sweep's.
+        op, op_weights = sweep_with_list(TensorTrainOperator, matrix_to_mpo, a, plan, policy)
+        bias, bias_weights = sweep_with_list(TensorTrain, vector_to_mps, c, plan.row_factors, policy)
+        assert report.link_discarded_weights == tuple(op_weights + bias_weights)
+        stored = layer.weights.cores + layer.bias.cores
+        assert all(np.array_equal(p, q) for p, q in zip(op.cores + bias.cores, stored))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(

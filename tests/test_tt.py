@@ -121,6 +121,28 @@ class TestPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(sv_tolerance=-1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_bond": 2.5},
+            {"max_bond": 2.0},
+            {"max_bond": np.float64(3.0)},
+            {"max_bond": "3"},
+            {"max_bond": True},
+            {"max_bond": np.True_},
+            {"sv_tolerance": True},
+            {"sv_tolerance": np.True_},
+        ],
+    )
+    def test_rejects_non_integer_bond_and_booleans(self, bad):
+        with pytest.raises(ValueError):
+            TruncationPolicy(**bad)
+
+    def test_numpy_integer_bond(self):
+        policy = TruncationPolicy(max_bond=np.int64(2))
+        train = tt_svd(np.random.default_rng(12).normal(size=(3, 3, 3)), policy)
+        assert train.bond_dims == (2, 2)
+
 
 class TestTtSvd:
     def test_all_ones_is_product_state(self):
@@ -154,9 +176,8 @@ class TestTtSvd:
     def test_truncated_error_bounded_by_weights(self):
         rng = np.random.default_rng(16)
         t = rng.normal(size=(4, 4, 4, 4))
-        train, weights = tt_svd(
-            t, TruncationPolicy.truncated(max_bond=2), return_weights=True
-        )
+        weights = []
+        train = tt_svd(t, TruncationPolicy.truncated(max_bond=2), discarded=weights)
         err = np.linalg.norm(tt_to_dense(train) - t)
         assert err <= np.sqrt(sum(weights)) + 1e-12
 
@@ -256,7 +277,8 @@ class TestRound:
         train = random_train(rng, 4, 2, 8)
         dense = tt_to_dense(train)
         policy = TruncationPolicy.truncated(max_bond=4)
-        rounded, weights = tt_round(train, policy, return_weights=True)
+        weights = []
+        rounded = tt_round(train, policy, discarded=weights)
         err = np.linalg.norm(tt_to_dense(rounded) - dense)
         assert err <= np.sqrt(sum(weights)) + 1e-12
         via_dense = tt_svd(dense, policy)

@@ -33,6 +33,7 @@ from oracles import (
     einsum_operator_dense,
     einsum_train_dense,
     fix_signs_loop,
+    sweep_with_list,
 )
 
 _rng = np.random.default_rng(13)
@@ -249,7 +250,7 @@ class TestTrainOracle:
              TruncationPolicy())
     @example(np.zeros((2, 3)), TruncationPolicy())
     def test_tt_svd_matches_einsum(self, tensor, policy):
-        train, weights = tt_svd(tensor, policy, return_weights=True)
+        train, weights = sweep_with_list(TensorTrain, tt_svd, tensor, policy)
         got = einsum_train_dense(train.cores)
         norm2 = float(np.sum(tensor**2))
         assert_error_is_discarded_weight(got, tensor, weights, norm2)
@@ -268,7 +269,7 @@ class TestTrainOracle:
     @example(seeded_chain(25, [(2,)] * 5, [1] * 4), TruncationPolicy(max_bond=1))
     @example(seeded_chain(26, [(2,)] * 4, [3, 40, 3]), TruncationPolicy(max_bond=2))
     def test_tt_round_matches_einsum(self, cores, policy):
-        rounded, weights = tt_round(TensorTrain(cores), policy, return_weights=True)
+        rounded, weights = sweep_with_list(TensorTrain, tt_round, TensorTrain(cores), policy)
         got, want = einsum_train_dense(rounded.cores), einsum_train_dense(cores)
         assert_error_is_discarded_weight(got, want, weights, float(np.sum(want**2)))
         if policy == TruncationPolicy():
