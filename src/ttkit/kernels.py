@@ -11,15 +11,15 @@ indexes and one bond.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, chain
 from math import cos, pi, prod, sin
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, NumericalError
-from .tt import DENSE_CAP_DEFAULT, TensorTrain, TensorTrainOperator
+from .errors import DimensionError, NumericalError
+from .tt import DENSE_CAP_DEFAULT, TensorTrain, TensorTrainOperator, tt_to_dense
+from .tt import _check_dense_size
 
 __all__ = [
     "SiteKernel",
@@ -111,12 +111,11 @@ class ProductState:
         return TensorTrain([v.reshape(1, -1, 1) for v in self.vectors])
 
     def to_dense(self, max_elements: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-        total = prod(self.dims)
-        if total > max_elements:
-            raise CapacityError(
-                f"dense feature tensor would have {total} elements (cap {max_elements})"
-            )
-        return reduce(np.multiply.outer, self.vectors)
+        """The outer product of the vectors: :meth:`to_tt` densified by ``tt_to_dense``.
+
+        Raises :class:`~ttkit.errors.CapacityError` past ``max_elements``.
+        """
+        return tt_to_dense(self.to_tt(), max_elements)
 
 
 def product_feature_map(x: Sequence[float], kernels: Sequence[SiteKernel]) -> ProductState:
@@ -156,12 +155,14 @@ def apply_mpo_to_product(
     every intermediate is also returned, per site the node's ``left * out *
     right`` and then the running result's ``outputs so far * right``.  It
     stays linear in the number of sites for fixed output size and bond
-    dimension.
+    dimension.  More than ``DENSE_CAP_DEFAULT`` outputs raise
+    :class:`~ttkit.errors.CapacityError` before any contraction.
     """
     if op.in_dims != ps.dims:
         raise DimensionError(
             f"operator inputs {op.in_dims} do not match feature dims {ps.dims}"
         )
+    _check_dense_size(prod(op.out_dims), DENSE_CAP_DEFAULT, "kernel output")
     trace: list[int] = []
     acc = np.ones((1, 1))  # (outputs so far, bond)
     for core, vec in zip(op.cores, ps.vectors):

@@ -7,11 +7,11 @@ carries the largest amplitude; because ``exp(-tau * cost)`` is strictly
 decreasing in cost, exact readout returns the true minimizer for any
 positive damping strength.  The damped state is built directly as a train
 of bond dimension ``d`` whose cores copy each site's value across the bond,
-which is exact.  Constraint layers (counter operators of bond ``k + 1``)
-zero out configurations that use a value more than its allowed count; with
-one layer per value this yields permutation-style non-repetition, the
-encoding used for route optimization.  A closed tour fixes its start at
-node 0, so only the other ``n - 1`` nodes take a site.
+which is exact.  Constraint layers (counter operators whose bond of
+dimension 2 records whether a value has been seen) zero out configurations
+that use a value twice; one layer per value leaves only configurations of
+distinct values, the encoding used for route optimization.  A closed tour
+fixes its start at node 0, so only the other ``n - 1`` nodes take a site.
 
 Magnitudes are kept in range by factoring the largest entry out of each
 core into an accumulated log scale, so relative amplitudes are preserved
@@ -255,23 +255,19 @@ def ite_state(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> AmplitudeSt
     return AmplitudeState(TensorTrain(cores), log_scale)
 
 
-def non_repetition_layer(
-    n: int, d: int, value: int, max_count: int = 1
-) -> TensorTrainOperator:
-    """Counter operator that zeroes configurations using ``value`` more than ``max_count`` times.
+def non_repetition_layer(n: int, d: int, value: int) -> TensorTrainOperator:
+    """Counter operator that zeroes configurations using ``value`` more than once.
 
-    Diagonal in the physical index; the bond (dimension ``max_count + 1``)
-    counts occurrences seen so far and offers no transition past the cap.
+    Diagonal in the physical index; the bond (dimension 2) is a flag that
+    records whether ``value`` has been seen and offers no second sighting.
     """
     if not 0 <= value < d:
         raise DimensionError(f"value {value} out of range for cardinality {d}")
-    if max_count < 0:
-        raise DimensionError("max_count must be >= 0")
-    count, x = np.arange(max_count + 1), np.arange(d)
-    mid = np.zeros((count.size, d, d, count.size))
-    # Other values keep the count; ``value`` raises it, up to the cap.
-    mid[count[:, None], x, x, count[:, None]] = x != value
-    mid[count[:-1], value, value, count[1:]] = 1.0
+    x = np.arange(d)
+    mid = np.zeros((2, d, d, 2))
+    # Other values keep the flag; ``value`` sets it, once.
+    mid[0, x, x, 0] = mid[1, x, x, 1] = x != value
+    mid[0, value, value, 1] = 1.0
     cores = [mid] * n
     cores[0] = mid[:1]
     cores[-1] = cores[-1].sum(axis=3, keepdims=True)
@@ -279,35 +275,28 @@ def non_repetition_layer(
 
 
 def apply_non_repetition(
-    s: AmplitudeState,
-    policy: TruncationPolicy = TruncationPolicy(),
-    max_counts=None,
+    s: AmplitudeState, policy: TruncationPolicy = TruncationPolicy()
 ) -> AmplitudeState:
     """Apply one counter layer per value, rounding with ``policy`` after each layer.
 
-    Configurations that exceed any value's allowed count end with amplitude
-    zero; all others keep their previous ratios.  ``max_counts`` gives a
-    per-value occurrence cap (default 1 everywhere, i.e. no repetitions).
+    Configurations that use any value twice end with amplitude zero; all
+    others keep their previous ratios.  More sites than values leave no
+    configuration and raise :class:`InfeasibilityError`.
     """
     dims = s.dims
     d = dims[0]
     if any(dim != d for dim in dims):
         raise DimensionError(f"sites must share one cardinality, got {dims}")
     n = s.n_sites
-    counts = [1] * d if max_counts is None else [int(k) for k in max_counts]
-    if len(counts) != d or any(k < 0 for k in counts):
-        raise DimensionError(f"max_counts must hold {d} nonnegative entries")
-    if sum(counts) < n:
-        raise InfeasibilityError(
-            f"allowed occurrences sum to {sum(counts)} < {n} sites; nothing can survive"
-        )
+    if n > d:
+        raise InfeasibilityError(f"{n} sites but only {d} values; nothing can survive")
     # Rescaled once: a 0/1 counter layer copies or drops entries, so only
     # the rounded train needs it.  A layer that removes the whole support
     # leaves tt_round's last core zero, and _rescaled raises.
     state, shift = _rescaled(s.state.cores)
     log_scale = s.log_scale + shift
     for value in range(d):
-        layer = non_repetition_layer(n, d, value, counts[value])
+        layer = non_repetition_layer(n, d, value)
         state, shift = _rescaled(tt_round(apply_mpo(layer, state), policy).cores)
         log_scale += shift
     return AmplitudeState(state, log_scale)

@@ -86,7 +86,8 @@ class TruncationPolicy:
         integral = isinstance(bond, (int, np.integer)) and not isinstance(bond, bool)
         if bond is not None and not (integral and bond >= 1):
             raise ValueError(f"max_bond must be an integer >= 1, got {bond!r}")
-        if isinstance(tol, (bool, np.bool_)) or not (np.isfinite(tol) and tol >= 0.0):
+        real = isinstance(tol, (int, float, np.integer, np.floating))
+        if isinstance(tol, bool) or not (real and np.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"sv_tolerance must be finite and >= 0, got {tol!r}")
 
     @classmethod
@@ -272,6 +273,18 @@ def param_count_mpo(n_sites: int, phys_dim: int, bond_dim: int) -> int:
     return param_count_mps(n_sites, d * d, bond_dim)
 
 
+def _split_link(
+    block: np.ndarray, policy: TruncationPolicy, weights: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    # One link of a left-to-right sweep: SVD ``block`` (left, physical, rest)
+    # as a matrix, append its discarded weight, and return the kept left
+    # vectors as the core and ``s V`` for the next site to absorb.
+    left, d, _ = block.shape
+    u, s, v, dw = truncated_svd(block.reshape(left * d, -1), policy)
+    weights.append(dw)
+    return u.reshape(left, d, s.size), s[:, None] * v
+
+
 def tt_svd(
     tensor: np.ndarray,
     policy: TruncationPolicy,
@@ -296,16 +309,10 @@ def tt_svd(
     weights = [] if discarded is None else discarded
     cores: list[np.ndarray] = []
     carry = t.reshape(1, -1)
-    left = 1
-    for k in range(t.ndim - 1):
-        mat = carry.reshape(left * dims[k], -1)
-        u, s, v, dw = truncated_svd(mat, policy)
-        weights.append(dw)
-        rank = s.size
-        cores.append(u.reshape(left, dims[k], rank))
-        carry = s[:, None] * v
-        left = rank
-    cores.append(carry.reshape(left, dims[-1], 1))
+    for d in dims[:-1]:
+        core, carry = _split_link(carry.reshape(len(carry), d, -1), policy, weights)
+        cores.append(core)
+    cores.append(carry.reshape(-1, dims[-1], 1))
     return TensorTrain(cores)
 
 
@@ -328,17 +335,19 @@ def _contract_chain(cores: Sequence[np.ndarray]) -> np.ndarray:
     return (left @ right).reshape(-1)
 
 
+def _check_dense_size(total: int, max_elements: int, what: str) -> None:
+    # The one capacity rule: refuse to materialize more than ``max_elements``.
+    if total > max_elements:
+        raise CapacityError(f"dense {what} would have {total} elements (cap {max_elements})")
+
+
 def tt_to_dense(tt: TensorTrain, max_elements: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Contract a train back to the dense tensor it represents.
 
     Refuses to materialize more than ``max_elements`` elements.  The result
     is a fresh, writable array.
     """
-    total = prod(tt.phys_dims)
-    if total > max_elements:
-        raise CapacityError(
-            f"dense tensor would have {total} elements (cap {max_elements})"
-        )
+    _check_dense_size(prod(tt.phys_dims), max_elements, "tensor")
     return _contract_chain(tt.cores).reshape(tt.phys_dims)
 
 
@@ -346,11 +355,7 @@ def mpo_to_dense(
     op: TensorTrainOperator, max_elements: int = DENSE_CAP_DEFAULT
 ) -> np.ndarray:
     """Contract an operator train to a dense tensor with axes (outputs..., inputs...)."""
-    total = prod(op.in_dims) * prod(op.out_dims)
-    if total > max_elements:
-        raise CapacityError(
-            f"dense operator would have {total} elements (cap {max_elements})"
-        )
+    _check_dense_size(prod(op.in_dims) * prod(op.out_dims), max_elements, "operator")
     flat = _contract_chain([c.reshape(c.shape[0], -1, c.shape[3]) for c in op.cores])
     # Axes alternate (in_0, out_0, in_1, out_1, ...); expose outputs first.
     n = op.n_sites
@@ -398,12 +403,8 @@ def tt_round(
     # Truncation sweep left to right.
     weights = [] if discarded is None else discarded
     for k in range(n - 1):
-        left, d, right = cores[k].shape
-        u, s, v, dw = truncated_svd(cores[k].reshape(left * d, right), policy)
-        weights.append(dw)
-        rank = s.size
-        cores[k] = u.reshape(left, d, rank)
-        cores[k + 1] = np.tensordot(s[:, None] * v, cores[k + 1], axes=([1], [0]))
+        cores[k], carry = _split_link(cores[k], policy, weights)
+        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=([1], [0]))
     return TensorTrain(cores)
 
 
@@ -473,27 +474,20 @@ def tt_scale(tt: TensorTrain, factor: float) -> TensorTrain:
 
 
 def tt_add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
-    """Elementwise sum of two trains via direct-sum cores (bond dims add)."""
+    """Elementwise sum of two trains: block-diagonal cores, outer bonds summed to 1."""
     if a.phys_dims != b.phys_dims:
         raise DimensionError(
             f"physical dimensions differ: {a.phys_dims} vs {b.phys_dims}"
         )
-    n = a.n_sites
-    if n == 1:
-        return TensorTrain([a.cores[0] + b.cores[0]])
     cores = []
-    for k, (ca, cb) in enumerate(zip(a.cores, b.cores)):
-        la, d, ra = ca.shape
-        lb, _, rb = cb.shape
-        if k == 0:
-            core = np.concatenate([ca, cb], axis=2)
-        elif k == n - 1:
-            core = np.concatenate([ca, cb], axis=0)
-        else:
-            core = np.zeros((la + lb, d, ra + rb))
-            core[:la, :, :ra] = ca
-            core[la:, :, ra:] = cb
+    for ca, cb in zip(a.cores, b.cores):
+        (la, d, ra), (lb, _, rb) = ca.shape, cb.shape
+        core = np.zeros((la + lb, d, ra + rb))
+        core[:la, :, :ra] = ca
+        core[la:, :, ra:] = cb
         cores.append(core)
+    cores[0] = cores[0].sum(axis=0, keepdims=True)
+    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
     return TensorTrain(cores)
 
 

@@ -6,6 +6,7 @@ eigenvalues instead of SVD), so agreement is meaningful.  The last helper
 checks the ``discarded=`` list contract that every SVD sweep shares.
 """
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -104,6 +105,15 @@ def dense_outer(vectors):
             val *= v[i]
         out[idx] = val
     return out
+
+
+def outer_reduce(vectors):
+    """Outer product folded left to right, one ``np.multiply.outer`` per site.
+
+    The densification ``ProductState.to_dense`` used before it went through
+    ``tt_to_dense``; the two differ only in how the factors are grouped.
+    """
+    return reduce(np.multiply.outer, vectors)
 
 
 def einsum_train_dense(cores):

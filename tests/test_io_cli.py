@@ -357,6 +357,12 @@ class TestCliContract:
         io.write_train(huge_mpo, TensorTrainOperator([np.full((1, 2, 1, 1), 1e200)] * 3))
         ones = tmp_path / "ones.json"
         io.write_tensor(ones, np.ones(3))
+        # A bond-1 operator of 23 sites with two outputs each: 2^23 outputs,
+        # twice the dense cap, from a file of a few KB.
+        wide_mpo = tmp_path / "wide_mpo.json"
+        io.write_train(wide_mpo, TensorTrainOperator([np.ones((1, 2, 2, 1))] * 23))
+        ones23 = tmp_path / "ones23.json"
+        io.write_tensor(ones23, np.ones(23))
         edge_qudo = tmp_path / "edge_qudo.json"
         io.write_json(edge_qudo, {"n": 3, "d": 2, "v": [[1e308, 1e308], [0.3, 0.2], [-1e308, -1e308]],
                                   "w": [[[0.1, 0.2], [0.3, 0.4]], [[0.05, 0.15], [0.25, 0.35]]]})
@@ -373,11 +379,14 @@ class TestCliContract:
             ["tsp-solve", "--problem", str(tour9), "--output", str(tmp_path / "x.json")],
             ["qudo-solve", "--problem", str(wide_qudo), "--output", str(tmp_path / "x.json")],
             ["tsp-solve", "--problem", str(wide_tour), "--output", str(tmp_path / "x.json")],
+            ["kernel-apply", "--mpo", str(wide_mpo), "--input-vector", str(ones23),
+             "--output", str(tmp_path / "x.json")],
         ]
         for args in cases:
             r = run_cli(*args)
             assert r.returncode == 3, (args, r.returncode, r.stderr)
             assert len(r.stderr.splitlines()) == 1, (args, r.stderr)
+            assert not (tmp_path / "x.json").exists(), args
 
     def test_one_parser_serves_every_call(self, tmp_path):
         # The parser is built once per process; repeated in-process calls

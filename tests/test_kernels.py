@@ -12,9 +12,15 @@ from ttkit.kernels import (
     product_feature_map,
     product_kernel,
 )
-from ttkit.tt import TensorTrainOperator, identity_mpo, mpo_to_matrix, tt_to_dense
+from ttkit.tt import (
+    DENSE_CAP_DEFAULT,
+    TensorTrainOperator,
+    identity_mpo,
+    mpo_to_matrix,
+    tt_to_dense,
+)
 
-from oracles import dense_outer
+from oracles import dense_outer, outer_reduce
 
 
 def random_mpo(rng, n, din, dout_list, bond):
@@ -47,6 +53,17 @@ class TestFeatureMap:
         ps = product_feature_map(x, [product_kernel()] * 10)
         want = dense_outer([list(v) for v in ps.vectors])
         assert np.allclose(ps.to_dense(), want, rtol=1e-13)
+
+    def test_to_dense_matches_the_outer_product_fold(self):
+        rng = np.random.default_rng(68)
+        kinds = [product_kernel(), cosine_kernel(), SiteKernel(3, lambda x: (x, x * x, 1.0))]
+        for n in (1, 2, 5, 12):
+            kernels = [kinds[k % 3] for k in range(n)]
+            ps = product_feature_map(rng.normal(size=n), kernels)
+            want = outer_reduce(ps.vectors)
+            got = ps.to_dense()
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_to_tt_agrees(self):
         rng = np.random.default_rng(61)
@@ -152,6 +169,19 @@ class TestApplyToProduct:
                 )
             midpoint = 0.5 * (outs[0] + outs[2])
             assert np.allclose(outs[1], midpoint, rtol=1e-9, atol=1e-12)
+
+    def test_refuses_outputs_over_the_dense_cap(self):
+        # A bond-1 operator of 23 two-output sites has 2^23 outputs, twice
+        # the cap; it is refused before any contraction.
+        op = TensorTrainOperator([np.ones((1, 2, 2, 1))] * 23)
+        ps = ProductState(tuple(np.ones(2) for _ in range(23)))
+        assert np.prod(op.out_dims) == 2 * DENSE_CAP_DEFAULT
+        with pytest.raises(CapacityError, match="cap"):
+            apply_mpo_to_product(op, ps)
+        # One output site fewer fits exactly.
+        op = TensorTrainOperator([np.ones((1, 2, 2, 1))] * 22)
+        ps = ProductState(tuple(np.ones(2) for _ in range(22)))
+        assert apply_mpo_to_product(op, ps).size == DENSE_CAP_DEFAULT
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(67)

@@ -186,22 +186,7 @@ class TestNonRepetition:
         assert np.max(np.abs(got - want) / want) <= 1e-10
 
     def test_counter_layer_bond(self):
-        layer = non_repetition_layer(5, 4, value=2, max_count=1)
-        assert layer.bond_dims == (2, 2, 2, 2)
-        layer = non_repetition_layer(5, 4, value=2, max_count=3)
-        assert layer.bond_dims == (4, 4, 4, 4)
-
-    def test_repetition_bounded_variant(self):
-        # value 0 allowed twice, value 1 once: three sites keep exactly the
-        # arrangements of (0, 0, 1)
-        out = apply_non_repetition(uniform_state(3, 2), max_counts=(2, 1))
-        amps = out.dense_amplitudes()
-        peak = np.max(np.abs(amps))
-        survivors = {
-            tuple(idx)
-            for idx in np.argwhere(np.abs(amps) > 1e-12 * peak)
-        }
-        assert survivors == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
+        assert non_repetition_layer(5, 4, value=2).bond_dims == (2, 2, 2, 2)
 
     def test_infeasible_when_sites_exceed_values(self):
         with pytest.raises(InfeasibilityError):

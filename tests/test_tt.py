@@ -138,6 +138,15 @@ class TestPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(**bad)
 
+    @pytest.mark.parametrize("bad", [None, "0.1", [0.1], np.array([0.1]), 1j])
+    def test_rejects_non_real_tolerance_with_value_error(self, bad):
+        with pytest.raises(ValueError, match="sv_tolerance must be finite"):
+            TruncationPolicy(sv_tolerance=bad)
+
+    @pytest.mark.parametrize("tol", [0, 1, np.int64(1), np.float32(0.25), np.float64(1e-3)])
+    def test_numpy_and_integer_tolerances(self, tol):
+        assert TruncationPolicy(sv_tolerance=tol).sv_tolerance == tol
+
     def test_numpy_integer_bond(self):
         policy = TruncationPolicy(max_bond=np.int64(2))
         train = tt_svd(np.random.default_rng(12).normal(size=(3, 3, 3)), policy)
@@ -361,6 +370,24 @@ class TestAddScale:
         a = TensorTrain([np.array([[1.0, 2.0]]).reshape(1, 2, 1)])
         b = TensorTrain([np.array([[3.0, 5.0]]).reshape(1, 2, 1)])
         assert np.array_equal(tt_to_dense(tt_add(a, b)), np.array([4.0, 7.0]))
+
+    @pytest.mark.parametrize(
+        "dims, bonds_a, bonds_b",
+        [
+            ((3, 3), (1, 2, 1), (1, 3, 1)),  # two sites: no middle core
+            ((2, 3, 4, 2), (1, 3, 1, 2, 1), (1, 1, 4, 3, 1)),  # bonds differ per link
+        ],
+    )
+    def test_add_two_sites_and_mixed_bonds(self, dims, bonds_a, bonds_b):
+        rng = np.random.default_rng(28)
+        a, b = (
+            TensorTrain([rng.normal(size=(bd[k], d, bd[k + 1])) for k, d in enumerate(dims)])
+            for bd in (bonds_a, bonds_b)
+        )
+        s = tt_add(a, b)
+        assert s.bond_dims == tuple(x + y for x, y in zip(bonds_a[1:-1], bonds_b[1:-1]))
+        want = tt_to_dense(a) + tt_to_dense(b)
+        assert np.allclose(tt_to_dense(s), want, rtol=1e-13, atol=1e-14)
 
     def test_scale(self):
         rng = np.random.default_rng(27)
