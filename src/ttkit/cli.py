@@ -18,6 +18,7 @@ from functools import cache
 import numpy as np
 
 from . import io
+from .dense import _check_int
 from .errors import (
     CapacityError,
     DimensionError,
@@ -56,11 +57,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _from_flags(parser: _Parser, cls, **values):
+def _from_flags(parser: _Parser, check, **values):
     # The library validates its own settings; a value it rejects is a usage
     # error, raised before any file is read.
     try:
-        return cls(**values)
+        return check(**values)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -71,21 +72,13 @@ def _policy_from_flags(parser: _Parser, args) -> TruncationPolicy:
     )
 
 
-def _check_positive(parser: _Parser, name: str, value: int) -> None:
-    if value < 1:
-        parser.error(f"{name} must be >= 1, got {value}")
-
-
 def _parse_factor_dims(parser: _Parser, text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         parser.error(f"--factor-dims must be comma-separated integers, got {text!r}")
-    if not dims or any(d < 1 for d in dims):
-        parser.error(f"--factor-dims entries must be >= 1, got {text!r}")
-    return dims
 
 
 def _write_report(path, report) -> None:
@@ -125,10 +118,11 @@ def _emit_solution(args, sol: Solution) -> None:
 def _cmd_compress(parser: _Parser, args) -> int:
     policy = _policy_from_flags(parser, args)
     factor_dims = _parse_factor_dims(parser, args.factor_dims)
+    for d in factor_dims or ():
+        _from_flags(parser, _check_int, n=d, what="--factor-dims entry")
     tensor = io.read_tensor(args.input)
-    dims = factor_dims if factor_dims is not None else tensor.shape
-    if tensor.ndim == 0 and factor_dims is None:
-        dims = (1,)
+    # The flag's dims, else the file's shape, else one site for a scalar.
+    dims = factor_dims or tensor.shape or (1,)
     train, report = compress_dataset(tensor, dims, policy)
     io.write_train(args.output, train)
     _write_report(args.report, report)
@@ -136,7 +130,7 @@ def _cmd_compress(parser: _Parser, args) -> int:
 
 
 def _cmd_reconstruct(parser: _Parser, args) -> int:
-    _check_positive(parser, "--dense-cap", args.dense_cap)
+    _from_flags(parser, _check_int, n=args.dense_cap, what="--dense-cap")
     train = io.read_train(args.input)
     if isinstance(train, TensorTrainOperator):
         dense = mpo_to_dense(train, args.dense_cap)
@@ -147,7 +141,7 @@ def _cmd_reconstruct(parser: _Parser, args) -> int:
 
 
 def _cmd_layer_compress(parser: _Parser, args) -> int:
-    _check_positive(parser, "--sites", args.sites)
+    _from_flags(parser, _check_int, n=args.sites, what="--sites")
     policy = _policy_from_flags(parser, args)
     matrix = io.read_tensor(args.matrix)
     bias = io.read_tensor(args.bias)

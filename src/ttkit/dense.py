@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import prod
+from math import inf, prod
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +45,27 @@ def as_tensor(values) -> np.ndarray:
     return _contiguous(t)
 
 
+def _check_int(n, what: str, minimum: int = 1, error: type[ValueError] = DimensionError) -> int:
+    # The one rule for a size or count (minimum 1), an index (minimum 0) and
+    # an integer setting: a Python or numpy integer, never a bool or truncated.
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {n!r}")
+    return int(n)
+
+
+def _check_real(x, what: str, positive: bool = False) -> None:
+    # The one rule for a real setting: a finite Python or numpy real, never a bool.
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    if not (real and (x > 0 if positive else x >= 0) and x < inf):
+        raise ValueError(f"{what} must be finite and {'>' if positive else '>='} 0, got {x!r}")
+
+
 def frobenius_norm(t: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_check_int(p, "axis", 0) for p in perm)
     if sorted(perm) != list(range(n)):
         raise DimensionError(f"{perm} is not a permutation of {n} axes")
     return perm
@@ -79,12 +94,10 @@ class GroupingPlan:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in self.source_shape)
-        groups = tuple(tuple(int(p) for p in g) for g in self.groups)
+        shape = tuple(_check_int(n, "dimension") for n in self.source_shape)
+        groups = tuple(tuple(_check_int(p, "axis", 0) for p in g) for g in self.groups)
         object.__setattr__(self, "source_shape", shape)
         object.__setattr__(self, "groups", groups)
-        if any(n < 1 for n in shape):
-            raise DimensionError(f"invalid source shape {shape}")
         if any(len(g) == 0 for g in groups):
             raise DimensionError("empty group in grouping plan")
         _check_permutation(self.permutation, len(shape))
@@ -127,15 +140,16 @@ def ungroup_indexes(t: np.ndarray, plan: GroupingPlan) -> np.ndarray:
 def split_index(t: np.ndarray, axis: int, factor_dims: Sequence[int]) -> np.ndarray:
     """Factor one index of ``t`` into several, row-major sub-enumeration.
 
-    Inverse of grouping those positions back together.
+    Inverse of grouping those positions back together.  ``axis`` (which may
+    count from the end) and the factors are integers, never truncated, and
+    the factors multiply to ``t.shape[axis]``; else :class:`DimensionError`.
     """
     t = as_tensor(t)
-    if not -t.ndim <= axis < t.ndim:
+    axis = _check_int(axis, "axis", -t.ndim)
+    if axis >= t.ndim:
         raise DimensionError(f"axis {axis} out of range for rank {t.ndim}")
-    axis = axis % t.ndim if t.ndim else 0
-    factors = tuple(int(d) for d in factor_dims)
-    if any(d < 1 for d in factors):
-        raise DimensionError(f"invalid factor dims {factors}")
+    axis %= t.ndim
+    factors = tuple(_check_int(d, "factor dimension") for d in factor_dims)
     if prod(factors) != t.shape[axis]:
         raise DimensionError(
             f"factors {factors} do not multiply to axis dimension {t.shape[axis]}"
@@ -156,12 +170,12 @@ def contract_pair(
     """
     a = as_tensor(a)
     b = as_tensor(b)
-    axes_a = [int(i) for i, _ in axis_pairs]
-    axes_b = [int(j) for _, j in axis_pairs]
+    axes_a = [_check_int(i, "axis", 0) for i, _ in axis_pairs]
+    axes_b = [_check_int(j, "axis", 0) for _, j in axis_pairs]
     if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
         raise DimensionError("an axis may be contracted at most once")
     for i, j in zip(axes_a, axes_b):
-        if not (0 <= i < a.ndim and 0 <= j < b.ndim):
+        if not (i < a.ndim and j < b.ndim):
             raise DimensionError(f"axis pair ({i}, {j}) out of range")
         if a.shape[i] != b.shape[j]:
             raise DimensionError(

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import GroupingPlan, as_tensor, group_indexes, split_index
+from .dense import GroupingPlan, _check_int, as_tensor, group_indexes, split_index
 from .errors import DimensionError, NumericalError
 from .tt import (
     TensorTrain,
@@ -68,21 +68,20 @@ class ShapePlan:
     """Per-site factorizations of a matrix's rows and columns.
 
     Site ``i`` of the resulting operator train carries output dimension
-    ``row_factors[i]`` and input dimension ``col_factors[i]``.
+    ``row_factors[i]`` and input dimension ``col_factors[i]``.  Factors and
+    the arguments of :meth:`balanced` are integers ``>= 1``, never truncated.
     """
 
     row_factors: tuple[int, ...]
     col_factors: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(d) for d in self.row_factors)
-        cols = tuple(int(d) for d in self.col_factors)
+        rows = tuple(_check_int(d, "row factor") for d in self.row_factors)
+        cols = tuple(_check_int(d, "column factor") for d in self.col_factors)
         object.__setattr__(self, "row_factors", rows)
         object.__setattr__(self, "col_factors", cols)
         if len(rows) != len(cols) or not rows:
             raise DimensionError("row and column factors must have equal nonzero length")
-        if any(d < 1 for d in rows + cols):
-            raise DimensionError("factor dimensions must be >= 1")
 
     @property
     def n_sites(self) -> int:
@@ -99,9 +98,9 @@ class ShapePlan:
     @classmethod
     def balanced(cls, n_rows: int, n_cols: int, sites: int) -> "ShapePlan":
         """Factor both dimensions into ``sites`` roughly equal factors."""
-        if sites < 1:
-            raise DimensionError("sites must be >= 1")
-        return cls(_balanced_factors(int(n_rows), sites), _balanced_factors(int(n_cols), sites))
+        sites = _check_int(sites, "sites")
+        rows, cols = _check_int(n_rows, "n_rows"), _check_int(n_cols, "n_cols")
+        return cls(_balanced_factors(rows, sites), _balanced_factors(cols, sites))
 
 
 @dataclass(frozen=True)
@@ -275,13 +274,14 @@ def compress_dataset(
 ) -> tuple[TensorTrain, CompressionReport]:
     """Reshape a data tensor onto ``factor_dims`` sites and compress it.
 
-    The report's ratio is stored elements over dense elements; it is
-    reported truthfully even when it exceeds 1 (no compression without loss).
-    Its relative error ``|T - T'| / |T|`` is the square root of the summed
-    discarded weights over ``|T|``, at any size.
+    ``factor_dims`` are integers ``>= 1``, never truncated, with product
+    ``t.size``.  The report's ratio is stored elements over dense elements;
+    it is reported truthfully even when it exceeds 1 (no compression without
+    loss).  Its relative error ``|T - T'| / |T|`` is the square root of the
+    summed discarded weights over ``|T|``, at any size.
     """
     t = as_tensor(t)
-    dims = tuple(int(d) for d in factor_dims)
+    dims = tuple(_check_int(d, "factor dimension") for d in factor_dims)
     if prod(dims) != t.size:
         raise DimensionError(
             f"factor dims {dims} do not cover {t.size} elements"

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import as_tensor, contract_pair
+from .dense import _check_int, as_tensor, contract_pair
 from .errors import NetworkError
 
 __all__ = ["ContractionNetwork", "contract_network"]
@@ -40,7 +40,7 @@ class ContractionNetwork:
         object.__setattr__(
             self, "nodes", {str(k): as_tensor(v) for k, v in self.nodes.items()}
         )
-        norm = lambda leg: (str(leg[0]), int(leg[1]))
+        norm = lambda leg: (str(leg[0]), _check_int(leg[1], "axis", 0, NetworkError))
         object.__setattr__(
             self, "edges", tuple((norm(x), norm(y)) for x, y in self.edges)
         )
@@ -52,7 +52,7 @@ class ContractionNetwork:
         if name not in self.nodes:
             raise NetworkError(f"unknown node {name!r}")
         t = self.nodes[name]
-        if not 0 <= axis < t.ndim:
+        if axis >= t.ndim:
             raise NetworkError(f"node {name!r} has no axis {axis} (rank {t.ndim})")
         return t.shape[axis]
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import as_tensor
+from .dense import _check_int, _check_real, as_tensor
 from .errors import (
     CapacityError,
     DimensionError,
@@ -113,8 +113,9 @@ class QudoProblem:
         return self.local[0].size
 
     def cost(self, configuration) -> float:
-        x = [int(v) for v in configuration]
-        if len(x) != self.n or any(not 0 <= v < self.d for v in x):
+        """Cost of ``n`` integer values in ``[0, d)``; a float is never truncated."""
+        x = [_check_int(v, "value", 0) for v in configuration]
+        if len(x) != self.n or any(v >= self.d for v in x):
             raise DimensionError(f"configuration {x} does not fit n={self.n}, d={self.d}")
         return float(_chain_cost(self, x))
 
@@ -145,12 +146,11 @@ class IteConfig:
     dense_cap: int = DENSE_CAP_DEFAULT
 
     def __post_init__(self):
-        if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.tau is not None:
+            _check_real(self.tau, "tau", positive=True)
         if self.readout not in ("exact", "greedy"):
             raise ValueError(f"unknown readout mode {self.readout!r}")
-        if self.dense_cap < 1:
-            raise ValueError("dense_cap must be >= 1")
+        _check_int(self.dense_cap, "dense_cap", 1, ValueError)
 
     def effective_tau(self, problem: QudoProblem) -> float:
         if self.tau is not None:
@@ -175,7 +175,7 @@ class Solution:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "configuration", tuple(int(v) for v in self.configuration)
+            self, "configuration", tuple(_check_int(v, "value", 0) for v in self.configuration)
         )
         if not isfinite(self.cost):
             raise NumericalError(f"cost {self.cost} of {list(self.configuration)} is not finite")
@@ -221,8 +221,7 @@ def _rescaled(cores: Sequence[np.ndarray]) -> tuple[TensorTrain, float]:
 
 def uniform_state(n: int, d: int) -> AmplitudeState:
     """Equal amplitude on every configuration, unit norm, all bonds 1."""
-    if n < 1 or d < 2:
-        raise DimensionError("need n >= 1 sites of cardinality d >= 2")
+    n, d = _check_int(n, "n"), _check_int(d, "d", 2)
     core = np.full((1, d, 1), 1.0 / np.sqrt(d))
     return AmplitudeState(TensorTrain([core] * n), 0.0)
 
@@ -261,7 +260,8 @@ def non_repetition_layer(n: int, d: int, value: int) -> TensorTrainOperator:
     Diagonal in the physical index; the bond (dimension 2) is a flag that
     records whether ``value`` has been seen and offers no second sighting.
     """
-    if not 0 <= value < d:
+    n, d, value = _check_int(n, "n"), _check_int(d, "d"), _check_int(value, "value", 0)
+    if value >= d:
         raise DimensionError(f"value {value} out of range for cardinality {d}")
     x = np.arange(d)
     mid = np.zeros((2, d, d, 2))

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dense import as_tensor
+from .dense import _check_int, _check_real, as_tensor
 from .errors import CapacityError, DimensionError, NumericalError
 
 __all__ = [
@@ -82,13 +82,9 @@ class TruncationPolicy:
     sv_tolerance: float = 0.0
 
     def __post_init__(self):
-        bond, tol = self.max_bond, self.sv_tolerance
-        integral = isinstance(bond, (int, np.integer)) and not isinstance(bond, bool)
-        if bond is not None and not (integral and bond >= 1):
-            raise ValueError(f"max_bond must be an integer >= 1, got {bond!r}")
-        real = isinstance(tol, (int, float, np.integer, np.floating))
-        if isinstance(tol, bool) or not (real and np.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"sv_tolerance must be finite and >= 0, got {tol!r}")
+        if self.max_bond is not None:
+            _check_int(self.max_bond, "max_bond", 1, ValueError)
+        _check_real(self.sv_tolerance, "sv_tolerance")
 
     @classmethod
     def exact(cls) -> "TruncationPolicy":
@@ -257,9 +253,8 @@ class TensorTrainOperator:
 
 def param_count_mps(n_sites: int, phys_dim: int, bond_dim: int) -> int:
     """Stored elements of a uniform MPS: ``2db`` boundary plus ``db^2`` per interior core."""
-    n, d, b = int(n_sites), int(phys_dim), int(bond_dim)
-    if n < 1 or d < 1 or b < 1:
-        raise DimensionError("n_sites, phys_dim, bond_dim must all be >= 1")
+    n, d = _check_int(n_sites, "n_sites"), _check_int(phys_dim, "phys_dim")
+    b = _check_int(bond_dim, "bond_dim")
     if n == 1:
         return d
     return 2 * d * b + (n - 2) * d * b * b
@@ -267,10 +262,7 @@ def param_count_mps(n_sites: int, phys_dim: int, bond_dim: int) -> int:
 
 def param_count_mpo(n_sites: int, phys_dim: int, bond_dim: int) -> int:
     """Stored elements of a uniform MPO: a uniform MPS with ``d^2`` values per site."""
-    d = int(phys_dim)
-    if d < 1:
-        raise DimensionError("n_sites, phys_dim, bond_dim must all be >= 1")
-    return param_count_mps(n_sites, d * d, bond_dim)
+    return param_count_mps(n_sites, _check_int(phys_dim, "phys_dim") ** 2, bond_dim)
 
 
 def _split_link(
@@ -520,5 +512,5 @@ def apply_mpo(op: TensorTrainOperator, state: TensorTrain) -> TensorTrain:
 
 def identity_mpo(phys_dims: Sequence[int]) -> TensorTrainOperator:
     """Bond-1 operator acting as the identity on each site."""
-    cores = [np.eye(int(d)).reshape(1, int(d), int(d), 1) for d in phys_dims]
-    return TensorTrainOperator(cores)
+    dims = [_check_int(d, "physical dimension") for d in phys_dims]
+    return TensorTrainOperator([np.eye(d).reshape(1, d, d, 1) for d in dims])

@@ -111,12 +111,19 @@ class TestGroupSplit:
             group_indexes(np.zeros((3, 2)), plan)
         with pytest.raises(DimensionError):
             split_index(np.zeros(6), 0, (4, 2))
+        with pytest.raises(DimensionError):
+            ungroup_indexes(np.zeros(5), plan)
+        for axis in (1, -2):
+            with pytest.raises(DimensionError):
+                split_index(np.zeros(6), axis, (2, 3))
 
     def test_invalid_plans(self):
         with pytest.raises(DimensionError):
             GroupingPlan((2, 3), ((0,), (0,)))
         with pytest.raises(DimensionError):
             GroupingPlan((2, 3), ((0,),))
+        with pytest.raises(DimensionError, match="empty group"):
+            GroupingPlan((2, 3), ((0, 1), ()))
 
 
 class TestContractPair:
@@ -156,3 +163,5 @@ class TestContractPair:
             contract_pair(np.zeros((2, 3)), np.zeros((4, 2)), [(1, 0)])
         with pytest.raises(DimensionError):
             contract_pair(np.zeros((2, 2)), np.zeros((2, 2)), [(0, 0), (0, 1)])
+        with pytest.raises(DimensionError, match="out of range"):
+            contract_pair(np.zeros(2), np.zeros((2, 2)), [(0, 2)])

@@ -423,13 +423,20 @@ class TestCliContract:
         assert documented == set(sub.choices)
 
     def test_no_partial_output_on_usage_error(self, tmp_path):
+        # Every input path is missing, so exit 1 shows that the flags are
+        # checked before anything is read.
         out = tmp_path / "out.json"
-        r = run_cli(
-            "compress", "--input", str(tmp_path / "missing.json"),
-            "--output", str(out), "--max-bond", "0",
-        )
-        assert r.returncode == 1
-        assert not out.exists()
+        missing = str(tmp_path / "missing.json")
+        cases = [
+            ["compress", "--input", missing, "--max-bond", "0"],
+            ["compress", "--input", missing, "--factor-dims", "2,0"],
+            ["compress", "--input", missing, "--factor-dims", "2,x"],
+            ["layer-compress", "--matrix", missing, "--bias", missing, "--sites", "0"],
+        ]
+        for args in cases:
+            r = run_cli(*args, "--output", str(out))
+            assert r.returncode == 1, (args, r.returncode, r.stderr)
+            assert not out.exists(), args
 
     def test_solver_oracle_agree_end_to_end(self, tmp_path):
         prob = tmp_path / "p.json"

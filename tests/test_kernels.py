@@ -103,6 +103,11 @@ class TestFeatureMap:
         for vec, k, xi in zip(ps.vectors, kernels, x):
             assert np.array_equal(vec, k(xi))
 
+    def test_needs_one_site(self):
+        assert ProductState((np.ones(2), np.ones(3))).n_sites == 2
+        with pytest.raises(DimensionError, match="at least one site"):
+            ProductState(())
+
     def test_dense_cap(self):
         ps = ProductState(tuple(np.ones(2) for _ in range(24)))
         with pytest.raises(CapacityError):

@@ -5,6 +5,7 @@ import pytest
 
 from ttkit.errors import DimensionError
 from ttkit.layers import (
+    CompressedLayer,
     ShapePlan,
     apply_compressed_layer,
     compress_dataset,
@@ -13,7 +14,9 @@ from ttkit.layers import (
     vector_to_mps,
 )
 from ttkit.tt import (
+    TensorTrain,
     TruncationPolicy,
+    identity_mpo,
     mpo_to_matrix,
     truncated_svd,
     tt_to_dense,
@@ -125,6 +128,8 @@ class TestVectorToMps:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             vector_to_mps(np.ones(6), (2, 2, 2), EXACT)
+        with pytest.raises(DimensionError, match="expected a vector"):
+            vector_to_mps(np.ones((2, 4)), (2, 2, 2), EXACT)
 
 
 class TestCompressLayer:
@@ -161,6 +166,13 @@ class TestCompressLayer:
             _, report = compress_layer(a, c, plan, TruncationPolicy.truncated(max_bond=b))
             errors.append(report.relative_error)
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errors, errors[1:]))
+
+    def test_rejects_mismatched_bias(self):
+        plan = ShapePlan((2, 2), (2, 2))
+        with pytest.raises(DimensionError, match="bias must have length 4"):
+            compress_layer(np.eye(4), np.zeros(5), plan, EXACT)
+        with pytest.raises(DimensionError, match="do not match"):
+            CompressedLayer(identity_mpo((2, 2)), TensorTrain([np.ones((1, 3, 1))] * 2))
 
 
 class TestApplyLayer:

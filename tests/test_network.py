@@ -114,6 +114,12 @@ class TestValidation:
                 edges=((("x", 0), ("y", 0)),),
                 free_legs=(("x", 0),),
             )
+        with pytest.raises(NetworkError, match="used more than once"):
+            ContractionNetwork(
+                nodes={"x": np.zeros(2), "y": np.zeros(2), "z": np.zeros(2)},
+                edges=((("x", 0), ("y", 0)), (("x", 0), ("z", 0))),
+                free_legs=(),
+            )
 
     def test_dimension_mismatch(self):
         with pytest.raises(NetworkError):
@@ -128,6 +134,14 @@ class TestValidation:
             ContractionNetwork(
                 nodes={"x": np.zeros(2)}, edges=(), free_legs=(("y", 0),)
             )
+        with pytest.raises(NetworkError, match="no axis 1"):
+            ContractionNetwork(
+                nodes={"x": np.zeros(2)}, edges=(), free_legs=(("x", 0), ("x", 1))
+            )
+
+    def test_no_nodes(self):
+        with pytest.raises(NetworkError, match="no nodes"):
+            ContractionNetwork(nodes={}, edges=(), free_legs=())
 
     def test_bad_path(self):
         a = np.array([1.0, 2.0])
@@ -139,3 +153,5 @@ class TestValidation:
             contract_network(net, path=[("a", "z")])
         with pytest.raises(NetworkError):
             contract_network(net, path=[])
+        with pytest.raises(NetworkError, match="two distinct nodes"):
+            contract_network(net, path=[("a", "a")])

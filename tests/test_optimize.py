@@ -192,6 +192,11 @@ class TestNonRepetition:
         with pytest.raises(InfeasibilityError):
             apply_non_repetition(uniform_state(3, 2))
 
+    def test_sites_must_share_one_cardinality(self):
+        s = AmplitudeState(TensorTrain([np.ones((1, 3, 1)), np.ones((1, 2, 1))]))
+        with pytest.raises(DimensionError, match="one cardinality"):
+            apply_non_repetition(s)
+
     def test_counters_that_remove_the_whole_support(self):
         # Enough values for every site, but the one configuration the state
         # holds repeats value 0, so the first counter layer zeroes it.
@@ -258,6 +263,11 @@ class TestReadout:
     def test_greedy_matches_exact_on_worked_example(self):
         s = ite_state(worked_example(), IteConfig(tau=1.0))
         assert readout_greedy(s) == readout_exact(s) == (1, 1)
+
+    def test_greedy_refuses_an_all_zero_state(self):
+        s = AmplitudeState(TensorTrain([np.zeros((1, 2, 1))] * 2))
+        with pytest.raises(InfeasibilityError):
+            readout_greedy(s)
 
     def test_greedy_adversarial_state_stays_nonzero(self):
         # Site-0 marginals favor value 1 (0.69^2 + 0.68^2 > 0.7^2), so greedy

@@ -112,6 +112,12 @@ class TestTruncatedSvd:
         with pytest.raises(DimensionError):
             truncated_svd(np.zeros((2, 2, 2)), EXACT)
 
+    def test_rejects_an_overflowing_spectrum_without_warning(self):
+        # Finite entries whose largest singular value (2e308) is past float64;
+        # tier-1 turns any RuntimeWarning into an error.
+        with pytest.raises(NumericalError, match="overflows float64"):
+            truncated_svd(np.full((2, 2), 1e308), EXACT)
+
 
 class TestPolicy:
     def test_exact_mode_invariant(self):
@@ -304,6 +310,11 @@ class TestRound:
             errors.append(np.linalg.norm(tt_to_dense(rounded) - dense))
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errors, errors[1:]))
 
+    def test_rejects_non_finite_train(self):
+        train = TensorTrain([np.array([1.0, np.nan]).reshape(1, 2, 1)])
+        with pytest.raises(NumericalError, match="non-finite"):
+            tt_round(train, EXACT)
+
     def test_norm_preserved_by_exact_round(self):
         rng = np.random.default_rng(22)
         train = random_train(rng, 5, 3, 4)
@@ -389,6 +400,11 @@ class TestAddScale:
         want = tt_to_dense(a) + tt_to_dense(b)
         assert np.allclose(tt_to_dense(s), want, rtol=1e-13, atol=1e-14)
 
+    def test_add_dim_mismatch(self):
+        rng = np.random.default_rng(29)
+        with pytest.raises(DimensionError):
+            tt_add(random_train(rng, 3, 2, 2), random_train(rng, 3, 3, 2))
+
     def test_scale(self):
         rng = np.random.default_rng(27)
         a = random_train(rng, 3, 2, 2)
@@ -440,6 +456,18 @@ class TestChainValidation:
             TensorTrain([np.ones((1, 2, 3)), np.ones((2, 2, 1))])
         with pytest.raises(DimensionError):
             TensorTrain([])
+        with pytest.raises(DimensionError, match="rank 2, expected 3"):
+            TensorTrain([np.ones((1, 2))])
+        with pytest.raises(DimensionError, match="empty dimension"):
+            TensorTrain([np.ones((1, 0, 1))])
+        with pytest.raises(DimensionError, match="last tensor train core"):
+            TensorTrain([np.ones((1, 2, 2))])
+
+    def test_reprs_show_dims(self):
+        train = TensorTrain([np.ones((1, 2, 3)), np.ones((3, 4, 1))])
+        assert repr(train) == "TensorTrain(phys_dims=(2, 4), bond_dims=(3,))"
+        op = TensorTrainOperator([np.ones((1, 2, 3, 1))])
+        assert repr(op) == "TensorTrainOperator(in_dims=(2,), out_dims=(3,), bond_dims=())"
 
     def test_cores_are_frozen(self):
         train = TensorTrain([np.ones((1, 2, 1))])
