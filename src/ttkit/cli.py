@@ -177,14 +177,8 @@ def _cmd_kernel_apply(parser: _Parser, args) -> int:
     return 0
 
 
-def _solver_config(parser: _Parser, args) -> IteConfig:
-    return _from_flags(
-        parser,
-        IteConfig,
-        tau=args.tau,
-        readout=args.readout,
-        dense_cap=args.dense_cap,
-    )
+def _solver_config(parser: _Parser, args, **settings) -> IteConfig:
+    return _from_flags(parser, IteConfig, tau=args.tau, readout=args.readout, **settings)
 
 
 def _read_problem(path, kind: str):
@@ -201,7 +195,7 @@ def _cmd_qudo_solve(parser: _Parser, args) -> int:
 
 
 def _cmd_tsp_solve(parser: _Parser, args) -> int:
-    cfg = _solver_config(parser, args)
+    cfg = _solver_config(parser, args, dense_cap=args.dense_cap)
     policy = _policy_from_flags(parser, args)
     costs, variant = _read_problem(args.problem, "tsp")
     _emit_solution(args, solve_tsp(costs, variant, cfg, policy=policy))
@@ -266,10 +260,11 @@ def build_parser() -> _Parser:
         p.add_argument("--output")
         p.add_argument("--tau", type=float)
         p.add_argument("--readout", choices=("exact", "greedy"), default="exact")
-        p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
         if name == "tsp-solve":
-            # Only the routing solver rounds (after each counter layer); the
-            # chain QUDO state is exact at bond d and never rounded.
+            # Only the routing solver rounds (after each counter layer) and
+            # densifies its exact readout; the chain QUDO state is exact at
+            # bond d, never rounded, and read out by a min-sum pass.
+            p.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
             p.add_argument("--max-bond", type=int)
             p.add_argument("--tol", type=float, default=0.0)
         p.set_defaults(func=func)

@@ -54,9 +54,14 @@ def _check_int(n, what: str, minimum: int = 1, error: type[ValueError] = Dimensi
 
 
 def _check_real(x, what: str, positive: bool = False) -> None:
-    # The one rule for a real setting: a finite Python or numpy real, never a bool.
+    # The one rule for a real setting: a finite Python or numpy real, never a
+    # bool.  A Python int past float64 range is not finite as a float.
     real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-    if not (real and (x > 0 if positive else x >= 0) and x < inf):
+    try:
+        real = real and float(x) < inf
+    except OverflowError:
+        real = False
+    if not (real and (x > 0 if positive else x >= 0)):
         raise ValueError(f"{what} must be finite and {'>' if positive else '>='} 0, got {x!r}")
 
 

@@ -7,11 +7,16 @@ carries the largest amplitude; because ``exp(-tau * cost)`` is strictly
 decreasing in cost, exact readout returns the true minimizer for any
 positive damping strength.  The damped state is built directly as a train
 of bond dimension ``d`` whose cores copy each site's value across the bond,
-which is exact.  Constraint layers (counter operators whose bond of
+which is exact.  Each configuration has one nonzero bond path, so the
+largest amplitude of a chain problem is found without densifying: a min-sum
+pass over the cost tables (the large-tau limit of the contraction) reads it
+out in ``O(n d^2)``.  Constraint layers (counter operators whose bond of
 dimension 2 records whether a value has been seen) zero out configurations
 that use a value twice; one layer per value leaves only configurations of
 distinct values, the encoding used for route optimization.  A closed tour
 fixes its start at node 0, so only the other ``n - 1`` nodes take a site.
+A tour's state is rounded after each layer and may hold negative entries,
+so its exact readout densifies all ``d^n`` amplitudes, under a dense cap.
 
 Magnitudes are kept in range by factoring the largest entry out of each
 core into an accumulated log scale, so relative amplitudes are preserved
@@ -130,7 +135,7 @@ class QudoProblem:
 
 @dataclass(frozen=True)
 class IteConfig:
-    """Damping strength, readout mode, and dense-readout cap for the solver.
+    """Damping strength, readout mode, and the dense-readout cap of tours.
 
     ``tau=None`` picks the default damping: the problem's cost spread is
     normalized to one and ``tau=10`` applied, which keeps amplitudes well
@@ -138,7 +143,9 @@ class IteConfig:
     spread that overflows float64 raises :class:`NumericalError`.  The
     damped state of a chain problem is exact at bond ``d`` and never
     rounded, so no truncation policy belongs here; :func:`solve_tsp` takes
-    one for its constraint layers.
+    one for its constraint layers.  ``dense_cap`` bounds the amplitudes an
+    exact :func:`solve_tsp` densifies; :func:`solve_qudo` densifies none and
+    has no cap.
     """
 
     tau: float | None = None
@@ -392,34 +399,125 @@ def _chain_cost(problem: QudoProblem, x):
     return total
 
 
+# Float64 values as int64 keys in the same order: -0.0 and 0.0 share key 0,
+# and -inf and inf have the keys -_KEY_INF and _KEY_INF.
+_SIGN = np.int64(-(2**63))
+_KEY_INF = np.int64(0x7FF0000000000000)
+
+
+def _key(x: np.ndarray) -> np.ndarray:
+    bits = x.view(np.int64)
+    return np.where(bits < 0, _SIGN - bits, bits)
+
+
+def _from_key(k: np.ndarray) -> np.ndarray:
+    return np.where(k < 0, _SIGN - k, k).view(np.float64)
+
+
+def _largest_fitting(fits, guess: np.ndarray) -> np.ndarray:
+    # Per entry, the largest float q with fits(q), for a test that is true
+    # at -inf, false at inf, and once false stays false as q grows: gallop
+    # out from the guess until two keys bracket the answer, then bisect.
+    lo = np.clip(_key(guess), -_KEY_INF, _KEY_INF - 1)
+    hi = lo + 1
+    step = np.int64(1)
+    while True:
+        low, high = ~fits(_from_key(lo)), fits(_from_key(hi))
+        if not (low.any() or high.any()):
+            break
+        lo, hi = (
+            np.where(low, np.maximum(lo, step - _KEY_INF) - step, np.where(high, hi, lo)),
+            np.where(high, np.minimum(hi, _KEY_INF - step) + step, np.where(low, lo, hi)),
+        )
+        step = min(2 * step, np.int64(2**61))
+    while (lo + 1 < hi).any():
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        ok = fits(_from_key(mid))
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return _from_key(lo)
+
+
+def _chain_argmin(problem: QudoProblem) -> tuple[int, ...]:
+    # The configuration brute_force_qudo returns, in O(n d^2) float sums:
+    # the lexicographically smallest whose _chain_cost equals the minimum.
+    # Prefix costs are summed in _chain_cost's order, ``(total + coupling) +
+    # local``, and rounding is monotone, so a forward min pass gives the
+    # minimum's bits.  A backward pass then finds, per site and value, the
+    # largest prefix cost from which some completion still sums to that
+    # minimum, so the left-to-right pick never backtracks.
+    links = list(zip(problem.coupling, problem.local[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = problem.local[0]
+        for c, v in links:
+            best = ((best[:, None] + c) + v).min(axis=0)
+        best = best.min()
+        if not isfinite(best):
+            raise NumericalError(f"the least cost {best} is not finite")
+        reach = [np.full(problem.d, best)]
+        for c, v in reversed(links):
+            bound = reach[0]
+            fitting = _largest_fitting(lambda q: (q + c) + v <= bound, (bound - v) - c)
+            reach.insert(0, fitting.max(axis=1))
+        x = [int(np.argmax(problem.local[0] <= reach[0]))]
+        total = problem.local[0][x[0]]
+        for (c, v), bound in zip(links, reach[1:]):
+            sums = (total + c[x[-1]]) + v
+            x.append(int(np.argmax(sums <= bound)))
+            total = sums[x[-1]]
+    return tuple(x)
+
+
+def _min_sum_readout(problem: QudoProblem, s: AmplitudeState) -> tuple[int, ...]:
+    # Exact readout of a damped chain state without densifying it: its
+    # largest amplitude is the least cost, which _chain_argmin finds in cost
+    # space.  The state still has to resolve the winner, so a core that is
+    # not finite, or a winner's entry that underflowed to 0, is refused.
+    x = _chain_argmin(problem)
+    n = len(x)
+    for i, core in enumerate(s.state.cores):
+        entry = core[x[i - 1] if i else 0, x[i], x[i] if i < n - 1 else 0]
+        if not (entry > 0.0 and np.isfinite(core).all()):
+            raise NumericalError(
+                "the least cost's amplitude is not finite and positive; tau is too large"
+            )
+    return x
+
+
 def _solve(
     problem: QudoProblem, cfg: IteConfig, constrain=None
 ) -> tuple[tuple[int, ...], str]:
-    # Exact readout densifies all d**n amplitudes, so an oversized problem is
-    # refused before any state is built.  Its near-ties are settled by
-    # ``problem``'s cost.
-    if cfg.readout == "exact" and problem.d**problem.n > cfg.dense_cap:
+    # A chain problem reads out exactly by a min-sum pass.  A constrained
+    # (tour) state is SVD-rounded and may hold negative entries, so its exact
+    # readout densifies all d**n amplitudes: an oversized tour is refused
+    # before any state is built, and near-ties are settled by its cost.
+    exact = cfg.readout == "exact"
+    if exact and constrain is not None and problem.d**problem.n > cfg.dense_cap:
         raise CapacityError(
             f"{problem.d}^{problem.n} configurations exceed the dense cap {cfg.dense_cap}"
         )
     state = ite_state(problem, cfg)
     if constrain is not None:
         state = constrain(state)
-    if cfg.readout == "exact":
-        return _readout(state, cfg.dense_cap, lambda x: _chain_cost(problem, x)), "ite-exact"
-    return readout_greedy(state), "ite-greedy"
+    if not exact:
+        return readout_greedy(state), "ite-greedy"
+    if constrain is None:
+        return _min_sum_readout(problem, state), "ite-exact"
+    return _readout(state, cfg.dense_cap, lambda x: _chain_cost(problem, x)), "ite-exact"
 
 
 def solve_qudo(problem: QudoProblem, cfg: IteConfig = IteConfig()) -> Solution:
     """Damp, read out, and recompute the cost of the winning configuration.
 
-    Exact readout takes the largest amplitude, but amplitudes within a
-    relative ``2**-30`` of it are settled by recomputed cost, the
-    lexicographically smallest winning equal costs.  So it returns the
-    configuration :func:`brute_force_qudo` returns, on cost ties too, and
-    also when one huge table entry shrinks the default ``tau`` until the
-    other costs damp to equal amplitudes.  It raises
-    :class:`CapacityError` when ``d**n`` exceeds ``cfg.dense_cap``.
+    Exact readout takes the largest amplitude by a min-sum pass over the
+    cost tables, in ``O(n d^2)`` and with nothing densified, so it has no
+    dense cap.  Costs are summed in the order :meth:`QudoProblem.cost` sums
+    them, and the lexicographically smallest configuration of least cost
+    wins.  So it returns the configuration and cost bits
+    :func:`brute_force_qudo` returns, on cost ties too, and also when one
+    huge table entry shrinks the default ``tau`` until the other costs damp
+    to equal amplitudes.  The damped state must still resolve the winner: a
+    core that is not finite, or a winning amplitude that underflows under a
+    large ``tau``, raises :class:`NumericalError`.
     """
     config, method = _solve(problem, cfg)
     return Solution(config, problem.cost(config), method)

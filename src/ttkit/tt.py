@@ -328,8 +328,9 @@ def _contract_chain(cores: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _check_dense_size(total: int, max_elements: int, what: str) -> None:
-    # The one capacity rule: refuse to materialize more than ``max_elements``.
-    if total > max_elements:
+    # The one capacity rule: refuse to materialize more than ``max_elements``,
+    # an integer cap by the rule of every integer setting (0 refuses all).
+    if total > _check_int(max_elements, "max_elements", 0, ValueError):
         raise CapacityError(f"dense {what} would have {total} elements (cap {max_elements})")
 
 

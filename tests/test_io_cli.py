@@ -229,6 +229,7 @@ class TestCliContract:
             ["qudo-solve", "--problem", str(src), "--readout", "magic"],
             ["qudo-solve", "--problem", str(src), "--tau", "0"],
             ["qudo-solve", "--problem", str(src), "--tau", "nan"],
+            # Only tsp-solve densifies, so --dense-cap is no qudo-solve flag.
             ["qudo-solve", "--problem", str(src), "--dense-cap", "0"],
             # The chain QUDO state is never rounded, so it takes no truncation flags.
             ["qudo-solve", "--problem", str(src), "--max-bond", "2"],
@@ -334,11 +335,6 @@ class TestCliContract:
                 "cores": [{"dims": [1, 2, 1], "data": [1.0, 1.0]}] * 30,
             },
         )
-        big_qudo = tmp_path / "qudo23.json"
-        io.write_json(
-            big_qudo,
-            {"n": 23, "d": 2, "v": [[0, 1]] * 23, "w": [[[0, 0], [0, 0]]] * 22},
-        )
         # A closed tour's start takes no site: 9 nodes densify 8^8 > 2^22.
         tour9 = tmp_path / "tsp9.json"
         io.write_json(tour9, {"cost_matrix": np.ones((9, 9)).tolist(), "variant": "closed"})
@@ -375,7 +371,6 @@ class TestCliContract:
             ["qudo-solve", "--problem", str(edge_qudo), "--output", str(tmp_path / "x.json")],
             ["compress", "--input", str(nan_t), "--output", str(tmp_path / "x.json")],
             ["reconstruct", "--input", str(big_train), "--output", str(tmp_path / "x.json")],
-            ["qudo-solve", "--problem", str(big_qudo), "--output", str(tmp_path / "x.json")],
             ["tsp-solve", "--problem", str(tour9), "--output", str(tmp_path / "x.json")],
             ["qudo-solve", "--problem", str(wide_qudo), "--output", str(tmp_path / "x.json")],
             ["tsp-solve", "--problem", str(wide_tour), "--output", str(tmp_path / "x.json")],
@@ -387,6 +382,24 @@ class TestCliContract:
             assert r.returncode == 3, (args, r.returncode, r.stderr)
             assert len(r.stderr.splitlines()) == 1, (args, r.stderr)
             assert not (tmp_path / "x.json").exists(), args
+
+    def test_qudo_solve_has_no_dense_cap(self, tmp_path):
+        # 2^23 configurations, twice the default dense cap, solve: exact QUDO
+        # readout is a min-sum pass and densifies nothing.  Every local table
+        # prefers 0 and the couplings are zero, so all zeros is the unique
+        # optimum, the configuration the oracle returns.
+        big_qudo = tmp_path / "qudo23.json"
+        io.write_json(
+            big_qudo,
+            {"n": 23, "d": 2, "v": [[0, 1]] * 23, "w": [[[0, 0], [0, 0]]] * 22},
+        )
+        out = tmp_path / "sol.json"
+        r = run_cli("qudo-solve", "--problem", str(big_qudo), "--output", str(out))
+        assert r.returncode == 0, r.stderr
+        sol = json.loads(out.read_text())
+        assert (sol["configuration"], sol["cost"]) == ([0] * 23, 0.0)
+        r = run_cli("qudo-solve", "--problem", str(big_qudo), "--dense-cap", "8")
+        assert r.returncode == 1 and "unrecognized arguments: --dense-cap" in r.stderr
 
     def test_one_parser_serves_every_call(self, tmp_path):
         # The parser is built once per process; repeated in-process calls

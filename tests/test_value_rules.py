@@ -20,10 +20,11 @@ from ttkit.optimize import (
     non_repetition_layer,
     uniform_state,
 )
-from ttkit.tt import TruncationPolicy, identity_mpo, param_count_mps
+from ttkit.tt import TensorTrain, TruncationPolicy, identity_mpo, param_count_mps, tt_to_dense
 
 EXACT = TruncationPolicy()
 PROBLEM = QudoProblem((np.zeros(2), np.ones(2)), (np.eye(2),))
+TRAIN = TensorTrain([np.ones((1, 2, 1))])
 
 BAD = {
     "split_index-float-factors": (
@@ -65,6 +66,15 @@ BAD = {
     "IteConfig-text-dense_cap": (ValueError, lambda: IteConfig(dense_cap="5")),
     "IteConfig-bool-tau": (ValueError, lambda: IteConfig(tau=True)),
     "IteConfig-text-tau": (ValueError, lambda: IteConfig(tau="1")),
+    # A Python int past float64 range is no finite real.
+    "IteConfig-huge-int-tau": (ValueError, lambda: IteConfig(tau=10**400)),
+    "TruncationPolicy-huge-int-tolerance": (
+        ValueError, lambda: TruncationPolicy(sv_tolerance=10**400)
+    ),
+    "max_elements-float": (ValueError, lambda: tt_to_dense(TRAIN, 8.5)),
+    "max_elements-bool": (ValueError, lambda: tt_to_dense(TRAIN, True)),
+    "max_elements-text": (ValueError, lambda: tt_to_dense(TRAIN, "5")),
+    "max_elements-none": (ValueError, lambda: tt_to_dense(TRAIN, None)),
 }
 
 
@@ -79,3 +89,5 @@ def test_numpy_scalars_keep_working():
     assert ShapePlan.balanced(np.int64(16), 16, 2) == ShapePlan((4, 4), (4, 4))
     assert PROBLEM.cost(np.array([1, 0])) == 1.0
     assert IteConfig(tau=np.float32(2.0)).tau == 2.0
+    assert TruncationPolicy(sv_tolerance=np.float32(0.5)).sv_tolerance == 0.5
+    assert tt_to_dense(TRAIN, np.int64(2)).shape == (2,)
